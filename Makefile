@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check race docs-check cluster-smoke wal-smoke partition-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
+.PHONY: build test vet fmt check race docs-check bench-selftest cluster-smoke wal-smoke partition-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ check: fmt vet build test
 # packages are pipeline, shard, and serve).
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark's harness self-test under the race detector: all
+# three workloads at toy scale, traced and untraced, the input-cache and drift
+# checks, the span and percentile arithmetic, and BENCHMARK.json against the
+# code. bench/ is a module of its own, so `go test ./...` does not reach it.
+bench-selftest:
+	cd bench && $(GO) test -race .
 
 # The documentation gate: formatting, vet, the godoc lint (undocumented
 # facade exports, packages without doc comments), the relative-link check

@@ -512,7 +512,7 @@ func TestClusterAckAmbiguityDelayedDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := quiescedEstimate(t, coord)
-	if want := ref.Estimate(); est.Estimate != want {
+	if want := ref.Close(); est.Estimate != want {
 		t.Fatalf("estimate after duplicated delivery %v, uninterrupted reference %v", est.Estimate, want)
 	}
 }
@@ -604,7 +604,7 @@ func TestClusterAckAmbiguityTimeoutAfterApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := quiescedEstimate(t, coord)
-	if want := ref.Estimate(); est.Estimate != want {
+	if want := ref.Close(); est.Estimate != want {
 		t.Fatalf("estimate after lost ack %v, uninterrupted reference %v", est.Estimate, want)
 	}
 }
@@ -696,7 +696,7 @@ func TestRetentionPinnedWhenFleetInconsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := quiescedEstimate(t, coord)
-	if want := ref.Estimate(); est.Estimate != want {
+	if want := ref.Close(); est.Estimate != want {
 		t.Fatalf("healed estimate %v, uninterrupted reference %v", est.Estimate, want)
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/stream"
 	"repro/internal/weights"
+	"repro/internal/window"
 	"repro/internal/xrand"
 )
 
@@ -188,5 +190,43 @@ func TestMultiProcessBatchAllocs(t *testing.T) {
 	t.Logf("multi3: %.4f allocs/event (%.1f per block of %d)", perEvent, avg, len(block))
 	if perEvent > 0.01 {
 		t.Errorf("multi-pattern ingest allocates %.4f/event, budget 0.01 — the zero-alloc path regressed", perEvent)
+	}
+}
+
+// TestProcessBatchAllocsWindowed pins the sliding-window ingest path: every
+// insertion also goes through the window ledger (membership probe, expiry of
+// the aged prefix through the deletion path, push), and every deletion
+// through its kill. Once the ledger's table and entry slice have grown to
+// the window, that bookkeeping must allocate nothing. Window 256 expires
+// edges while their deletions are still pending (genuine deletions hit live
+// ledger entries); window 32 expires them first (the deletions find nothing
+// live and are dropped).
+func TestProcessBatchAllocsWindowed(t *testing.T) {
+	for _, w := range []int64{32, 256} {
+		t.Run(fmt.Sprintf("window=%d", w), func(t *testing.T) {
+			c, err := New(Config{
+				M:            256,
+				Pattern:      pattern.Triangle,
+				Weight:       weights.GPSDefault(),
+				Rng:          xrand.New(5),
+				SkipTemporal: true,
+				Temporal:     window.Spec{Window: w},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			block := steadyBlock(1024, 40)
+			for i := 0; i < 3; i++ {
+				c.ProcessBatch(block)
+			}
+			avg := testing.AllocsPerRun(5, func() {
+				c.ProcessBatch(block)
+			})
+			perEvent := avg / float64(len(block))
+			t.Logf("window %d: %.4f allocs/event (%.1f per block of %d)", w, perEvent, avg, len(block))
+			if perEvent > 0.02 {
+				t.Errorf("windowed ingest allocates %.4f/event, budget 0.02", perEvent)
+			}
+		})
 	}
 }

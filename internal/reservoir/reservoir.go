@@ -49,13 +49,22 @@ func (it *Item) InvWeight() float64 { return it.invW }
 type Reservoir struct {
 	capacity int
 	heap     []*Item
-	// adjDense indexes each vertex's adjacency list directly by vertex ID for
-	// IDs below maxMarkID — the same dense-ID assumption the mark array makes —
-	// so the intersection loops reach a row with one bounds check instead of a
-	// hash probe. It grows to the largest linked ID. Vertices with larger
-	// (sparse, hashed) IDs live in the adjFar map instead.
-	adjDense []adjList
-	adjFar   map[graph.VertexID]adjList
+	// rows is the pool of adjacency lists: one row per vertex that currently
+	// has sampled edges, so the pool holds at most 2M rows however large the
+	// vertex IDs are. A vertex whose degree drops to zero hands its row back
+	// through freeRows with its backing arrays kept, so under churn a vertex
+	// coming back reuses a recycled row instead of reallocating its list.
+	rows     []adjList
+	freeRows []uint32
+	// adjIdx maps each vertex ID below maxMarkID — the same dense-ID
+	// assumption the mark array makes — to 1 + its row in the pool, 0 meaning
+	// degree zero: 4 bytes per ID, so a degree-0 lookup touches only this
+	// small array and the intersection loops reach a row with one bounds
+	// check instead of a hash probe. It grows to the largest linked ID.
+	// Vertices with larger (sparse, hashed) IDs are indexed by the adjFar map
+	// instead, with the same encoding.
+	adjIdx []uint32
+	adjFar map[graph.VertexID]uint32
 	// tagged counts, per vertex, the incident edges currently carrying the
 	// DEL tag, so LiveView.Degree can report the live degree without a scan.
 	// Entries are removed when they reach zero; WSD workloads never populate
@@ -70,11 +79,6 @@ type Reservoir struct {
 	// chunk is the tail of the current PushValue allocation block; see
 	// itemChunkSize.
 	chunk []Item
-	// freeAdj recycles the backing arrays of emptied adjacency lists: under
-	// churn, vertices constantly drop to degree zero and come back, and
-	// reallocating their lists each time would dominate steady-state
-	// allocations. Bounded like free.
-	freeAdj []adjList
 	// marks is the epoch-stamped scratch behind ForEachPairAmong: marks[v]
 	// holds markEpoch<<32|index while v is a candidate of the current call, so
 	// an adjacency walk classifies each neighbor with one array load instead
@@ -122,61 +126,88 @@ func New(capacity int) *Reservoir {
 	}
 }
 
-// list returns u's adjacency list (possibly empty).
-func (r *Reservoir) list(u graph.VertexID) adjList {
-	if int(u) < len(r.adjDense) {
-		return r.adjDense[u]
+// slot returns u's index entry: 1 + its pool row, or 0 for degree zero.
+func (r *Reservoir) slot(u graph.VertexID) uint32 {
+	if int(u) < len(r.adjIdx) {
+		return r.adjIdx[u]
 	}
 	if int(u) < maxMarkID {
-		return adjList{}
+		return 0
 	}
 	return r.adjFar[u]
 }
 
-// setList stores u's adjacency list, growing the dense index or falling back
-// to the sparse map for IDs beyond the dense range. An empty list is stored as
-// the zero adjList (and removed from the sparse map) so list() reports degree
-// zero and listFor() knows to seed from the recycler.
-func (r *Reservoir) setList(u graph.VertexID, l adjList) {
+// list returns u's adjacency list (empty for degree zero).
+func (r *Reservoir) list(u graph.VertexID) adjList {
+	if s := r.slot(u); s != 0 {
+		return r.rows[s-1]
+	}
+	return adjList{}
+}
+
+// setSlot points u's index entry at s, growing the dense index or falling
+// back to the sparse map for IDs beyond the dense range; s = 0 unlinks u.
+func (r *Reservoir) setSlot(u graph.VertexID, s uint32) {
 	if int(u) >= maxMarkID {
-		if len(l.vs) == 0 {
+		if s == 0 {
 			delete(r.adjFar, u)
 			return
 		}
 		if r.adjFar == nil {
-			r.adjFar = make(map[graph.VertexID]adjList)
+			r.adjFar = make(map[graph.VertexID]uint32)
 		}
-		r.adjFar[u] = l
+		r.adjFar[u] = s
 		return
 	}
-	if int(u) >= len(r.adjDense) {
+	if int(u) >= len(r.adjIdx) {
 		// Amortized doubling: streams tend to introduce vertex IDs in
 		// ascending order, and exact-size growth would recopy the whole
 		// index on every new vertex (O(V^2) on vertex-heavy streams).
 		n := int(u) + 1
-		if c := 2 * len(r.adjDense); c > n {
+		if c := 2 * len(r.adjIdx); c > n {
 			n = c
 		}
 		if n > maxMarkID {
 			n = maxMarkID
 		}
-		grown := make([]adjList, n)
-		copy(grown, r.adjDense)
-		r.adjDense = grown
+		grown := make([]uint32, n)
+		copy(grown, r.adjIdx)
+		r.adjIdx = grown
 	}
-	r.adjDense[u] = l
+	r.adjIdx[u] = s
+}
+
+// rowFor returns u's pool row, claiming one for a vertex of degree zero: a
+// recycled row (emptied, backing arrays kept) when available, else a fresh
+// one with small pre-sized arrays — the parallel slices double in lockstep,
+// so starting at a few entries halves the number of growth reallocations a
+// filling vertex pays compared to growing from nil. The pointer is valid
+// until the next rowFor.
+func (r *Reservoir) rowFor(u graph.VertexID) *adjList {
+	s := r.slot(u)
+	if s == 0 {
+		if n := len(r.freeRows); n > 0 {
+			s = r.freeRows[n-1]
+			r.freeRows = r.freeRows[:n-1]
+		} else {
+			r.rows = append(r.rows, adjList{vs: make([]graph.VertexID, 0, 8), its: make([]*Item, 0, 8)})
+			s = uint32(len(r.rows))
+		}
+		r.setSlot(u, s)
+	}
+	return &r.rows[s-1]
 }
 
 // forEachList calls fn for every vertex that currently has incident edges.
 // Diagnostic/test helper, not a hot path.
 func (r *Reservoir) forEachList(fn func(u graph.VertexID, l adjList)) {
-	for u, l := range r.adjDense {
-		if len(l.vs) > 0 {
-			fn(graph.VertexID(u), l)
+	for u, s := range r.adjIdx {
+		if s != 0 {
+			fn(graph.VertexID(u), r.rows[s-1])
 		}
 	}
-	for u, l := range r.adjFar {
-		fn(u, l)
+	for u, s := range r.adjFar {
+		fn(u, r.rows[s-1])
 	}
 }
 
@@ -350,7 +381,7 @@ func (r *Reservoir) linkAdj(it *Item) {
 // linkAt inserts neighbor v (with its item) into u's sorted adjacency list,
 // shifting the tails of both parallel slices.
 func (r *Reservoir) linkAt(u, v graph.VertexID, it *Item) {
-	l := r.listFor(u)
+	l := r.rowFor(u)
 	i := searchAdj(l.vs, v)
 	l.vs = append(l.vs, 0)
 	copy(l.vs[i+1:], l.vs[i:])
@@ -358,24 +389,6 @@ func (r *Reservoir) linkAt(u, v graph.VertexID, it *Item) {
 	l.its = append(l.its, nil)
 	copy(l.its[i+1:], l.its[i:])
 	l.its[i] = it
-	r.setList(u, l)
-}
-
-// listFor returns u's adjacency list, seeding a fresh vertex with recycled
-// backing arrays when available, else with small pre-sized ones: the parallel
-// slices double in lockstep, so starting at a few entries halves the number
-// of growth reallocations a filling vertex pays compared to growing from nil.
-func (r *Reservoir) listFor(u graph.VertexID) adjList {
-	l := r.list(u)
-	if l.vs == nil {
-		if n := len(r.freeAdj); n > 0 {
-			l = r.freeAdj[n-1]
-			r.freeAdj = r.freeAdj[:n-1]
-		} else {
-			l = adjList{vs: make([]graph.VertexID, 0, 8), its: make([]*Item, 0, 8)}
-		}
-	}
-	return l
 }
 
 func (r *Reservoir) unlinkAdj(it *Item) {
@@ -388,9 +401,11 @@ func (r *Reservoir) unlinkAdj(it *Item) {
 }
 
 // unlinkAt removes the entry for item it under neighbor ID v from u's sorted
-// adjacency list, shifting the tails down.
+// adjacency list, shifting the tails down. A vertex left with degree zero
+// returns its row to the pool's free list.
 func (r *Reservoir) unlinkAt(u, v graph.VertexID, it *Item) {
-	l := r.list(u)
+	s := r.slot(u)
+	l := &r.rows[s-1]
 	i := searchAdj(l.vs, v)
 	// A self-loop stores two identical-key entries; advance to the one that
 	// holds this item.
@@ -404,12 +419,9 @@ func (r *Reservoir) unlinkAt(u, v graph.VertexID, it *Item) {
 	l.vs = l.vs[:last]
 	l.its = l.its[:last]
 	if last == 0 {
-		if cap(l.vs) > 0 && len(r.freeAdj) < r.capacity {
-			r.freeAdj = append(r.freeAdj, l)
-		}
-		l = adjList{}
+		r.freeRows = append(r.freeRows, s)
+		r.setSlot(u, 0)
 	}
-	r.setList(u, l)
 }
 
 func (r *Reservoir) swap(i, j int) {
@@ -562,12 +574,7 @@ func (r *Reservoir) forEachPairAmong(cands []graph.VertexID, liveOnly bool, fn f
 	}
 	marks := r.marks
 	for i := 0; i+1 < n; i++ {
-		// Candidates are sorted and below maxMarkID, so each row can only
-		// live in the dense index.
-		var l adjList
-		if int(cands[i]) < len(r.adjDense) {
-			l = r.adjDense[cands[i]]
-		}
+		l := r.list(cands[i])
 		if len(l.vs) > probeRatio*(n-i) {
 			// Degenerate high-degree row: probing the few remaining
 			// candidates beats walking the whole adjacency list.

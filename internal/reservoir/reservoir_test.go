@@ -563,3 +563,33 @@ func TestDenseIndexGrowthAmortized(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got, vertices/2)
 	}
 }
+
+// TestIndexFootprintScalesWithSample pins the vertex index's memory to the
+// sample, not the ID space: a reservoir of 1,000 edges whose endpoints are
+// spread over IDs up to 2^20 must allocate well under what one 48-byte
+// adjacency header per ID below the largest (about 100 MB here) would cost.
+// The index spends 4 bytes per ID; the adjacency rows scale with the sample.
+func TestIndexFootprintScalesWithSample(t *testing.T) {
+	const capacity = 1000
+	r := New(capacity)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < capacity; i++ {
+		u := graph.VertexID(i * (1 << 20) / capacity)
+		r.PushValue(graph.NewEdge(u, u+1), 1, float64(i+1), int64(i))
+	}
+	runtime.ReadMemStats(&after)
+
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("%d edges over IDs up to 2^20 allocated %d bytes, budget 16 MB; the vertex index scales with the ID space", capacity, grew)
+	}
+	checkInvariants(t, r)
+	for i := 0; i < capacity; i++ {
+		u := graph.VertexID(i * (1 << 20) / capacity)
+		if r.Degree(u) != 1 || !r.HasEdge(u, u+1) {
+			t.Fatalf("vertex %d: Degree %d, HasEdge %v", u, r.Degree(u), r.HasEdge(u, u+1))
+		}
+	}
+}

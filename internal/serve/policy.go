@@ -203,7 +203,7 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("serve: a shadow evaluation of policy %s is already running; DELETE /policy/shadow first", active), http.StatusConflict)
 		return
 	}
-	sh := &shadowRun{art: art, ens: ens, attachedAt: s.streamPos}
+	sh := &shadowRun{art: art, ens: ens, attachedAt: s.streamPos.Load()}
 	s.shadow = sh
 	s.mu.Unlock()
 	s.posMu.Unlock()

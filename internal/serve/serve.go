@@ -33,6 +33,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	wsd "repro"
 
@@ -120,8 +121,10 @@ type Server struct {
 	// submission, not application — the ensemble applies submitted batches
 	// in order, so an event past streamPos is guaranteed new and one before
 	// it is guaranteed already en route. Lock order: posMu before mu.
+	// streamPos is only written under posMu; it is atomic so /healthz can
+	// report it without waiting behind an ingest.
 	posMu     sync.Mutex
-	streamPos int64
+	streamPos atomic.Int64
 
 	// policy records the active learned policy, nil when the counter runs
 	// the WSD-H heuristic: set at boot from Config.Policy, replaced by
@@ -300,7 +303,7 @@ func (s *Server) Restore(blob []byte) (int, error) {
 	// The restored ensemble's position is exact — nothing is in flight yet —
 	// so the idempotence counter re-anchors to it: a coordinator replaying
 	// the log tail after this restore stamps against the snapshot position.
-	s.streamPos = restored.Processed()
+	s.streamPos.Store(restored.Processed())
 	s.policy = snapPolicy
 	// A running shadow evaluation is tied to the stream the live counter was
 	// following; a restore rewinds or replaces that stream, so the
@@ -341,10 +344,13 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// "position" and "processed" are the same number — the absolute stream
-	// position, which survives checkpoint/restore (the snapshot records it).
-	// A log-mode coordinator reads "position" to align this worker against
-	// its write-ahead log; "processed" stays for pre-log clients.
+	// "position" is the accepted stream position: the absolute count of
+	// events this server has acknowledged on /ingest, the cursor stamped
+	// ingests dedup against. It survives checkpoint/restore (the snapshot
+	// records it). A log-mode coordinator reads it to align this worker
+	// against its write-ahead log. "processed" is the applied count, which
+	// trails "position" while submitted batches are still queued for the
+	// shards and equals it once they drain (POST /flush).
 	health := map[string]any{
 		"status":    "ok",
 		"pattern":   s.patterns[0].String(),
@@ -352,7 +358,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"shards":    s.ens.Shards(),
 		"m":         s.cfg.M,
 		"processed": s.ens.Processed(),
-		"position":  s.ens.Processed(),
+		"position":  s.streamPos.Load(),
 		// "policy" is the active policy's content ID, or "heuristic": a
 		// cluster coordinator verifies the fleet runs one weight function
 		// (a worker that missed a swap would estimate under different
@@ -410,17 +416,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// map 1:1 onto SubmitPooled batches — while text bodies are parsed whole.
 	s.posMu.Lock()
 	defer s.posMu.Unlock()
+	pos := s.streamPos.Load()
 	skip := int64(0)
 	if stamped {
-		if stampPos > s.streamPos {
+		if stampPos > pos {
 			// The body starts past what this server has seen: applying it
 			// would silently drop the gap. The coordinator heals by replaying
 			// from this server's actual position instead.
-			http.Error(w, fmt.Sprintf("serve: stream position gap: request starts at %d, server is at %d", stampPos, s.streamPos),
+			http.Error(w, fmt.Sprintf("serve: stream position gap: request starts at %d, server is at %d", stampPos, pos),
 				http.StatusConflict)
 			return
 		}
-		skip = s.streamPos - stampPos
+		skip = pos - stampPos
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -433,7 +440,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.streamPos += int64(accepted)
+	s.streamPos.Add(int64(accepted))
 	if sh := s.shadow; sh != nil {
 		// The shadow counter replays the exact accepted event sequence (same
 		// body, same duplicate skip) under the candidate policy. A shadow

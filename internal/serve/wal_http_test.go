@@ -51,8 +51,10 @@ func TestCatchUpEndpointAndWALHealth(t *testing.T) {
 	}
 	post(t, ts.URL+"/ingest", body.Bytes())
 
-	// Worker /healthz reports its absolute stream position — the value the
-	// coordinator's catch-up probe aligns against the log.
+	// Worker /healthz reports its accepted stream position — the value the
+	// coordinator's catch-up probe aligns against the log — as soon as the
+	// ingest is acknowledged; the applied count catches up to it once the
+	// worker's queues drain.
 	var wh struct {
 		Position  int64 `json:"position"`
 		Processed int64 `json:"processed"`
@@ -60,8 +62,15 @@ func TestCatchUpEndpointAndWALHealth(t *testing.T) {
 	if err := json.Unmarshal(get(t, urls[0]+"/healthz"), &wh); err != nil {
 		t.Fatal(err)
 	}
+	if wh.Position != int64(len(s)) || wh.Processed > wh.Position {
+		t.Fatalf("worker healthz position %d processed %d, want position %d and processed <= position", wh.Position, wh.Processed, len(s))
+	}
+	post(t, urls[0]+"/flush", nil)
+	if err := json.Unmarshal(get(t, urls[0]+"/healthz"), &wh); err != nil {
+		t.Fatal(err)
+	}
 	if wh.Position != int64(len(s)) || wh.Processed != wh.Position {
-		t.Fatalf("worker healthz position %d processed %d, want both %d", wh.Position, wh.Processed, len(s))
+		t.Fatalf("worker healthz after flush: position %d processed %d, want both %d", wh.Position, wh.Processed, len(s))
 	}
 
 	// Coordinator /healthz carries the log's retained range and per-worker

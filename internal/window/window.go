@@ -16,7 +16,7 @@
 //   - Window W keeps estimates over exactly the last W insertion events by
 //     expiring aged edges through the counter's TRIEST-FD-style deletion
 //     path. Ring is the supporting structure: a FIFO of live edges in
-//     insertion order with O(1) membership.
+//     insertion order with O(1) membership through a seeded flat hash table.
 //   - Halflife h decays every sampled contribution by 2^(-Δt/h): the
 //     estimate is multiplied by e^(-λ) (λ = ln2/h) on each insertion tick
 //     before new mass is added, and sampling weights are scaled by e^(+λt)
@@ -142,19 +142,24 @@ type Entry struct {
 // edge), pops aged entries from the head, and marks entries dead when a
 // genuine deletion consumes them first.
 //
+// Entries carry absolute sequence numbers — entries[i] is number base+i —
+// and the membership index maps each live edge to its number, so dropping
+// the expired prefix only advances base and never rewrites the index.
+//
 // The zero Ring is empty and ready to use.
 type Ring struct {
 	entries []Entry
 	head    int
-	idx     map[graph.Edge]int // live entries only; value indexes entries
+	base    int64     // sequence number of entries[0]
+	idx     edgeTable // live entries only
 }
 
 // Len returns the number of live (non-dead, non-expired) edges.
-func (r *Ring) Len() int { return len(r.idx) }
+func (r *Ring) Len() int { return r.idx.Len() }
 
 // Has reports whether e is live in the window.
 func (r *Ring) Has(e graph.Edge) bool {
-	_, ok := r.idx[e]
+	_, ok := r.idx.Get(e)
 	return ok
 }
 
@@ -162,17 +167,13 @@ func (r *Ring) Has(e graph.Edge) bool {
 // If e is already live (the caller should have checked Has first), the old
 // entry is marked dead so membership stays single-valued.
 func (r *Ring) Push(e graph.Edge, at int64) {
-	if r.idx == nil {
-		r.idx = make(map[graph.Edge]int)
-	}
 	if r.head > 0 && r.head*2 >= len(r.entries) {
 		r.compact()
 	}
-	if i, ok := r.idx[e]; ok {
-		r.entries[i].Dead = true
+	if old, ok := r.idx.Put(e, r.base+int64(len(r.entries))); ok {
+		r.entries[old-r.base].Dead = true
 	}
 	r.entries = append(r.entries, Entry{Edge: e, At: at})
-	r.idx[e] = len(r.entries) - 1
 }
 
 // compact drops the expired prefix so the backing slice stays proportional
@@ -181,11 +182,7 @@ func (r *Ring) Push(e graph.Edge, at int64) {
 func (r *Ring) compact() {
 	n := copy(r.entries, r.entries[r.head:])
 	r.entries = r.entries[:n]
-	for i, ent := range r.entries {
-		if !ent.Dead {
-			r.idx[ent.Edge] = i
-		}
-	}
+	r.base += int64(r.head)
 	r.head = 0
 }
 
@@ -195,12 +192,11 @@ func (r *Ring) compact() {
 // must then ignore the deletion entirely, or it would subtract instances the
 // windowed estimate no longer counts.
 func (r *Ring) Kill(e graph.Edge) bool {
-	i, ok := r.idx[e]
+	seq, ok := r.idx.Delete(e)
 	if !ok {
 		return false
 	}
-	r.entries[i].Dead = true
-	delete(r.idx, e)
+	r.entries[seq-r.base].Dead = true
 	return true
 }
 
@@ -218,11 +214,12 @@ func (r *Ring) ExpireOne(cutoff int64) (graph.Edge, bool) {
 		if ent.Dead {
 			continue
 		}
-		delete(r.idx, ent.Edge)
+		r.idx.Delete(ent.Edge)
 		return ent.Edge, true
 	}
 	if r.head > 0 && r.head == len(r.entries) {
 		r.entries = r.entries[:0]
+		r.base += int64(r.head)
 		r.head = 0
 	}
 	return graph.Edge{}, false
