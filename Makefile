@@ -87,10 +87,13 @@ policy-smoke:
 # oracle unit suites, the core window/decay tests (snapshot v5 resume
 # bit-identity, v4 compatibility, temporal validation), the serving layer's
 # temporal contract (mode-asserting /estimate queries, unknown-param 400s,
-# restore refusal, mixed-fleet detection), the facade degenerate bit-identity
-# and windowed-vs-oracle acceptance cells, a short fuzz pass over windowed
-# snapshot decoding, then a 10-second sustained-load soak of a windowed
-# 3-worker fleet that must finish error-free under a generous p99 bound.
+# restore refusal, mixed-fleet detection), multi-pattern temporal counting
+# (windowed/decayed counters over several patterns against the exact oracles,
+# in core, served, and through the facade), the facade degenerate
+# bit-identity and windowed-vs-oracle acceptance cells, a short fuzz pass
+# over windowed snapshot decoding, then a 10-second sustained-load soak of a
+# windowed 3-worker fleet that must finish error-free under a generous p99
+# bound.
 window-smoke:
 	$(GO) test -race ./internal/window/ ./internal/exact/
 	$(GO) test -race -run 'Window|Decay|Temporal|EstimateUnknownParam' ./internal/core/ ./internal/serve/ ./internal/cluster/ .

@@ -233,7 +233,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(*checkpoint, blob, 0o644); err != nil {
+		if err := cli.WriteFileAtomic(*checkpoint, blob, 0o644); err != nil {
 			fatal(err)
 		}
 		log.Printf("wsdserve: checkpointed %d bytes to %s", len(blob), *checkpoint)

@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := cli.WriteFileAtomic(*out, data, 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wsdtrain: %d updates over %d episodes (%d env steps) in %v; final training relative error %.3f\n",

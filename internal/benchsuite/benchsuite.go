@@ -307,9 +307,11 @@ func ingests() []ingestSpec {
 			name:    "multi3",
 			streams: []string{"dense-community"},
 			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				c, err := core.NewMulti(core.MultiConfig{
+				patterns := multiPatterns(sp)
+				c, err := core.New(core.Config{
 					M:            sp.m,
-					Patterns:     multiPatterns(sp),
+					Pattern:      patterns[0],
+					Secondary:    patterns[1:],
 					Weight:       weights.GPSDefault(),
 					Rng:          xrand.New(seed),
 					SkipTemporal: true,

@@ -169,9 +169,10 @@ func TestProcessBatchAllocsPolicyWeight(t *testing.T) {
 // stay on the same zero-allocation budget as one — the shared enumeration
 // scratch and per-pattern prods buffers are all reused across events.
 func TestMultiProcessBatchAllocs(t *testing.T) {
-	c, err := NewMulti(MultiConfig{
+	c, err := New(Config{
 		M:            256,
-		Patterns:     []pattern.Kind{pattern.FourClique, pattern.Triangle, pattern.Wedge},
+		Pattern:      pattern.FourClique,
+		Secondary:    []pattern.Kind{pattern.Triangle, pattern.Wedge},
 		Weight:       weights.GPSDefault(),
 		Rng:          xrand.New(5),
 		SkipTemporal: true,

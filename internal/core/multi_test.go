@@ -15,11 +15,16 @@ import (
 
 var multiKinds = []pattern.Kind{pattern.Wedge, pattern.Triangle, pattern.FourClique}
 
-func newTestMulti(t *testing.T, m int, seed int64, w weights.Func, skip bool) *MultiCounter {
+// multiConfig is the Config counting kinds, primary first.
+func multiConfig(m int, kinds []pattern.Kind) Config {
+	return Config{M: m, Pattern: kinds[0], Secondary: kinds[1:]}
+}
+
+func newTestMulti(t *testing.T, m int, seed int64, w weights.Func, skip bool) *Counter {
 	t.Helper()
-	c, err := NewMulti(MultiConfig{
-		M: m, Patterns: multiKinds, Weight: w, Rng: xrand.New(seed), SkipTemporal: skip,
-	})
+	cfg := multiConfig(m, multiKinds)
+	cfg.Weight, cfg.Rng, cfg.SkipTemporal = w, xrand.New(seed), skip
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,19 +33,22 @@ func newTestMulti(t *testing.T, m int, seed int64, w weights.Func, skip bool) *M
 
 func TestNewMultiValidation(t *testing.T) {
 	rng := xrand.New(1)
-	cases := map[string]MultiConfig{
-		"no patterns": {M: 100, Rng: rng},
-		"duplicate":   {M: 100, Patterns: []pattern.Kind{pattern.Wedge, pattern.Wedge}, Rng: rng},
-		"unknown":     {M: 100, Patterns: []pattern.Kind{pattern.Kind(42)}, Rng: rng},
-		"m too small": {M: 4, Patterns: []pattern.Kind{pattern.Wedge, pattern.FourClique}, Rng: rng},
-		"nil rng":     {M: 100, Patterns: []pattern.Kind{pattern.Wedge}},
+	cases := map[string]Config{
+		"duplicate":           {M: 100, Pattern: pattern.Wedge, Secondary: []pattern.Kind{pattern.Wedge}, Rng: rng},
+		"duplicate secondary": {M: 100, Pattern: pattern.Wedge, Secondary: []pattern.Kind{pattern.Triangle, pattern.Triangle}, Rng: rng},
+		"unknown":             {M: 100, Pattern: pattern.Kind(42), Rng: rng},
+		"unknown secondary":   {M: 100, Pattern: pattern.Wedge, Secondary: []pattern.Kind{pattern.Kind(42)}, Rng: rng},
+		"m too small":         {M: 4, Pattern: pattern.Wedge, Secondary: []pattern.Kind{pattern.FourClique}, Rng: rng},
+		"nil rng":             {M: 100, Pattern: pattern.Wedge},
 	}
 	for name, cfg := range cases {
-		if _, err := NewMulti(cfg); err == nil {
+		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := NewMulti(MultiConfig{M: 100, Patterns: multiKinds, Rng: rng}); err != nil {
+	valid := multiConfig(100, multiKinds)
+	valid.Rng = rng
+	if _, err := New(valid); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
@@ -94,9 +102,9 @@ func TestMultiPrimaryMatchesSingleUnderHeuristic(t *testing.T) {
 				kinds = append(kinds, k)
 			}
 		}
-		multi, err := NewMulti(MultiConfig{
-			M: m, Patterns: kinds, Weight: weights.GPSDefault(), Rng: xrand.New(4), SkipTemporal: true,
-		})
+		cfg := multiConfig(m, kinds)
+		cfg.Weight, cfg.Rng, cfg.SkipTemporal = weights.GPSDefault(), xrand.New(4), true
+		multi, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +132,9 @@ func TestMultiPrimaryMatchesSingleUnderHeuristic(t *testing.T) {
 // track its exact count at every event.
 func TestMultiExactWhenReservoirHoldsEverything(t *testing.T) {
 	s := testStream(t, 7, 200, 0.2)
-	c, err := NewMulti(MultiConfig{
-		M: len(s) + 1, Patterns: multiKinds, Rng: xrand.New(3),
-	})
+	cfg := multiConfig(len(s)+1, multiKinds)
+	cfg.Rng = xrand.New(3)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +171,9 @@ func TestMultiUnbiasedness(t *testing.T) {
 	const trials = 60
 	sums := make([]float64, len(multiKinds))
 	for trial := 0; trial < trials; trial++ {
-		c, err := NewMulti(MultiConfig{
-			M: 450, Patterns: multiKinds, Weight: weights.GPSDefault(),
-			Rng: xrand.New(100 + int64(trial)), SkipTemporal: true,
-		})
+		cfg := multiConfig(450, multiKinds)
+		cfg.Weight, cfg.Rng, cfg.SkipTemporal = weights.GPSDefault(), xrand.New(100+int64(trial)), true
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +216,7 @@ func TestMultiSnapshotBitIdenticalResume(t *testing.T) {
 	if !snap.Multi() || len(snap.Patterns) != len(multiKinds) {
 		t.Fatalf("snapshot shape: multi=%v patterns=%v", snap.Multi(), snap.Patterns)
 	}
-	restored, err := RestoreMulti(snap, MultiConfig{Weight: weights.GPSDefault(), SkipTemporal: true})
+	restored, err := Restore(snap, Config{Weight: weights.GPSDefault(), SkipTemporal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +225,7 @@ func TestMultiSnapshotBitIdenticalResume(t *testing.T) {
 	// uninterrupted run bit for bit.
 	first.ProcessBatch(s[cut:])
 
-	for name, c := range map[string]*MultiCounter{"restored": restored, "continued": first} {
+	for name, c := range map[string]*Counter{"restored": restored, "continued": first} {
 		for _, k := range multiKinds {
 			got, _ := c.EstimateOf(k)
 			want, _ := whole.EstimateOf(k)
@@ -236,25 +243,30 @@ func TestMultiSnapshotBitIdenticalResume(t *testing.T) {
 }
 
 // TestMultiSnapshotValidation: malformed multi snapshots are rejected at
-// decode/restore, and the single/multi restore entry points refuse each
-// other's shapes.
+// decode/restore, and a restore that names secondary patterns refuses a
+// snapshot counting a different set, primary included.
 func TestMultiSnapshotValidation(t *testing.T) {
 	c := newTestMulti(t, 64, 5, nil, true)
 	c.ProcessBatch(testStream(t, 2, 200, 0.1))
 	good := c.Snapshot()
 
-	if _, err := Restore(good, Config{Rng: xrand.New(1)}); err == nil {
-		t.Error("Restore accepted a multi snapshot")
-	}
 	single, err := New(Config{M: 64, Pattern: pattern.Triangle, Rng: xrand.New(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreMulti(single.Snapshot(), MultiConfig{Rng: xrand.New(1)}); err == nil {
-		t.Error("RestoreMulti accepted a single snapshot")
+	if _, err := Restore(single.Snapshot(), Config{Secondary: multiKinds[1:], Rng: xrand.New(1)}); err == nil {
+		t.Error("Restore with secondary patterns accepted a single-pattern snapshot")
 	}
-	if _, err := RestoreMulti(good, MultiConfig{Patterns: []pattern.Kind{pattern.Triangle}}); err == nil {
-		t.Error("RestoreMulti accepted mismatched patterns")
+	if _, err := Restore(good, Config{Pattern: multiKinds[0], Secondary: []pattern.Kind{pattern.Triangle}}); err == nil {
+		t.Error("Restore accepted mismatched secondary patterns")
+	}
+	// The primary is part of the checked list: the right secondaries under
+	// the wrong primary must not restore as the snapshot's primary.
+	if _, err := Restore(good, Config{Pattern: pattern.FourClique, Secondary: multiKinds[1:]}); err == nil {
+		t.Error("Restore accepted a mismatched primary alongside matching secondary patterns")
+	}
+	if got, err := Restore(good, Config{Pattern: multiKinds[0], Secondary: multiKinds[1:]}); err != nil || got.NumEstimates() != len(multiKinds) {
+		t.Errorf("Restore with matching patterns: %v", err)
 	}
 
 	corrupt := func(name string, mutate func(s *Snapshot)) {

@@ -71,21 +71,7 @@ func (c *Counter) SetWeight(w weights.Func, skipTemporal bool, params *PolicyPar
 	c.cfg.Policy = params.Clone()
 }
 
-// SetWeight is the MultiCounter counterpart of Counter.SetWeight: same
-// semantics, applied to the shared sample's one weight draw per event.
-func (c *MultiCounter) SetWeight(w weights.Func, skipTemporal bool, params *PolicyParams) {
-	if w == nil {
-		w = weights.Uniform()
-	}
-	c.cfg.Weight = w
-	c.cfg.SkipTemporal = skipTemporal
-	c.cfg.Policy = params.Clone()
-}
-
 // ActivePolicy returns the policy annotation recorded by Config.Policy or the
 // last SetWeight, nil when the counter runs a heuristic weight function. The
 // returned value is shared — callers must not mutate it.
 func (c *Counter) ActivePolicy() *PolicyParams { return c.cfg.Policy }
-
-// ActivePolicy is the MultiCounter counterpart of Counter.ActivePolicy.
-func (c *MultiCounter) ActivePolicy() *PolicyParams { return c.cfg.Policy }

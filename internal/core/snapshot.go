@@ -35,10 +35,11 @@ type Snapshot struct {
 	TauP        float64      `json:"tau_p"`
 	TauQ        float64      `json:"tau_q"`
 	Estimate    float64      `json:"estimate"`
-	// Patterns and Estimates carry a MultiCounter's per-pattern state
-	// (version 3); both are empty in single-counter snapshots. When present,
-	// Pattern and Estimate mirror the primary entries (Patterns[0],
-	// Estimates[0]) so version-agnostic inspection keeps working.
+	// Patterns and Estimates carry a multi-pattern counter's per-pattern
+	// state (version 3), primary first; both are empty in single-pattern
+	// snapshots. When present, Pattern and Estimate mirror the primary
+	// entries (Patterns[0], Estimates[0]) so version-agnostic inspection
+	// keeps working.
 	Patterns  []pattern.Kind `json:"patterns,omitempty"`
 	Estimates []float64      `json:"estimates,omitempty"`
 	// Policy carries the active learned policy (version 4): the WSD-L actor
@@ -74,8 +75,8 @@ type SnapshotRingEntry struct {
 	Dead bool           `json:"dead,omitempty"`
 }
 
-// Multi reports whether the snapshot holds multi-pattern state (restore it
-// with RestoreMulti, not Restore).
+// Multi reports whether the snapshot is in the multi-pattern shape (the
+// version-3 patterns/estimates lists are present).
 func (s *Snapshot) Multi() bool { return len(s.Patterns) > 0 }
 
 // SnapshotItem is one sampled edge in a snapshot.
@@ -111,9 +112,13 @@ func (c *Counter) Snapshot() *Snapshot {
 		TemporalAgg: c.cfg.TemporalAgg,
 		TauP:        c.tauP,
 		TauQ:        c.tauQ,
-		Estimate:    c.estimate,
+		Estimate:    c.Estimate(),
 		Policy:      c.cfg.Policy.Clone(),
 		Insertions:  c.insertions,
+	}
+	if len(c.pats) > 1 {
+		s.Patterns = c.Patterns()
+		s.Estimates = c.Estimates()
 	}
 	if src, ok := c.cfg.Rng.(stateful); ok {
 		state := src.State()
@@ -232,9 +237,6 @@ func (s *Snapshot) validateTemporal(items map[graph.Edge]bool) error {
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("core: snapshot temporal mode: %w", err)
 	}
-	if s.Multi() && !spec.IsZero() {
-		return fmt.Errorf("core: multi-pattern snapshots do not support temporal modes")
-	}
 	if s.WScale < 0 || math.IsNaN(s.WScale) || math.IsInf(s.WScale, 0) {
 		return fmt.Errorf("core: snapshot wscale %v invalid", s.WScale)
 	}
@@ -278,16 +280,23 @@ func (s *Snapshot) validateTemporal(items map[graph.Edge]bool) error {
 // without RNG state — a random source. When the snapshot carries RNG state
 // (it was taken from a counter driven by *xrand.Rand), the source is revived
 // from that state and cfg.Rng is ignored, so the restored counter continues
-// bit-identically. cfg's M, Pattern and TemporalAgg must match the snapshot
-// (zero values default to it), since a mismatch would silently break the
-// estimator's probability bookkeeping.
+// bit-identically. The counted patterns come from the snapshot — single- and
+// multi-pattern shapes both restore. cfg's M, Secondary and Temporal must
+// match the snapshot (zero values default to it), since a mismatch would
+// silently break the estimator's probability bookkeeping. When cfg.Secondary
+// is given, cfg.Pattern must match too: the whole pattern list is checked.
 func Restore(s *Snapshot, cfg Config) (*Counter, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	snapPats := []pattern.Kind{s.Pattern}
 	if s.Multi() {
-		return nil, fmt.Errorf("core: snapshot holds multi-pattern state (%d patterns); restore it with RestoreMulti", len(s.Patterns))
+		snapPats = s.Patterns
 	}
+	if len(cfg.Secondary) > 0 && !slices.Equal(cfg.patterns(), snapPats) {
+		return nil, fmt.Errorf("core: restore patterns %v do not match snapshot %v", cfg.patterns(), snapPats)
+	}
+	cfg.Secondary = snapPats[1:]
 	if cfg.M == 0 {
 		cfg.M = s.M
 	}
@@ -311,7 +320,12 @@ func Restore(s *Snapshot, cfg Config) (*Counter, error) {
 	}
 	c.tauP = s.TauP
 	c.tauQ = s.TauQ
-	c.estimate = s.Estimate
+	c.pats[0].estimate = s.Estimate
+	if s.Multi() {
+		for i := range c.pats {
+			c.pats[i].estimate = s.Estimates[i]
+		}
+	}
 	c.insertions = s.Insertions
 	for _, it := range s.Items {
 		c.res.PushValue(graph.NewEdge(it.U, it.V), it.Weight, it.Rank, it.Arrival)
@@ -330,83 +344,6 @@ func Restore(s *Snapshot, cfg Config) (*Counter, error) {
 				c.win.Kill(e)
 			}
 		}
-	}
-	return c, nil
-}
-
-// Snapshot captures the multi-pattern counter's current state: the shared
-// sample and thresholds once, plus every pattern's estimate. The counter can
-// keep processing events afterwards; the snapshot is an independent copy.
-func (c *MultiCounter) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Version:     snapshotVersion,
-		M:           c.cfg.M,
-		Pattern:     c.cfg.Patterns[0],
-		Patterns:    append([]pattern.Kind(nil), c.cfg.Patterns...),
-		TemporalAgg: c.cfg.TemporalAgg,
-		TauP:        c.tauP,
-		TauQ:        c.tauQ,
-		Estimate:    c.pats[0].estimate,
-		Estimates:   c.EstimatesInto(nil),
-		Policy:      c.cfg.Policy.Clone(),
-		Insertions:  c.insertions,
-	}
-	if src, ok := c.cfg.Rng.(stateful); ok {
-		state := src.State()
-		s.RngState = &state
-	}
-	for _, it := range c.res.Items() {
-		s.Items = append(s.Items, SnapshotItem{
-			U: it.Edge.U, V: it.Edge.V,
-			Weight: it.Weight, Rank: it.Rank, Arrival: it.Arrival,
-		})
-	}
-	return s
-}
-
-// Checkpoint is Snapshot().Encode() in one call, the Checkpointable surface
-// the ingestion layers store.
-func (c *MultiCounter) Checkpoint() ([]byte, error) { return c.Snapshot().Encode() }
-
-// RestoreMulti reconstructs a multi-pattern counter from a snapshot taken
-// with MultiCounter.Snapshot. cfg plays the same role as in Restore: it
-// supplies the weight function and — only for snapshots without RNG state — a
-// random source; M, Patterns and TemporalAgg must match the snapshot (zero
-// values default to it). A restored counter over a carried RNG state
-// continues bit-identically for every pattern.
-func RestoreMulti(s *Snapshot, cfg MultiConfig) (*MultiCounter, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if !s.Multi() {
-		return nil, fmt.Errorf("core: snapshot holds single-pattern state; restore it with Restore")
-	}
-	if cfg.M == 0 {
-		cfg.M = s.M
-	}
-	if cfg.M != s.M {
-		return nil, fmt.Errorf("core: restore M=%d does not match snapshot M=%d", cfg.M, s.M)
-	}
-	if len(cfg.Patterns) > 0 && !slices.Equal(cfg.Patterns, s.Patterns) {
-		return nil, fmt.Errorf("core: restore patterns %v do not match snapshot patterns %v", cfg.Patterns, s.Patterns)
-	}
-	cfg.Patterns = s.Patterns
-	cfg.TemporalAgg = s.TemporalAgg
-	if s.RngState != nil {
-		cfg.Rng = xrand.FromState(*s.RngState)
-	}
-	c, err := NewMulti(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.tauP = s.TauP
-	c.tauQ = s.TauQ
-	for i := range c.pats {
-		c.pats[i].estimate = s.Estimates[i]
-	}
-	c.insertions = s.Insertions
-	for _, it := range s.Items {
-		c.res.PushValue(graph.NewEdge(it.U, it.V), it.Weight, it.Rank, it.Arrival)
 	}
 	return c, nil
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/pattern"
 	"repro/internal/stream"
 	"repro/internal/weights"
+	"repro/internal/window"
 	"repro/internal/xrand"
 )
 
@@ -196,5 +200,78 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot([]byte(`garbage`)); err == nil {
 		t.Error("garbage should be rejected")
+	}
+}
+
+// TestLegacySnapshotsResumeBitIdentical restores snapshot blobs written by
+// the separate single- and multi-pattern counters that preceded the unified
+// Counter (testdata/legacy-*.json: single-pattern whole-stream, single-pattern
+// windowed v5, and the version-3 patterns/estimates shape with three
+// patterns and with one), each taken halfway through the same stream. Every
+// one must restore, finish the stream, and land bit-identically on both the
+// uninterrupted run of today's counter and the final estimates the old
+// counters recorded (testdata/legacy-finals.json).
+func TestLegacySnapshotsResumeBitIdentical(t *testing.T) {
+	s := temporalTestStream(41, 30, 1500)
+	cut := len(s) / 2
+	raw, err := os.ReadFile("testdata/legacy-finals.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var finals map[string][]float64
+	if err := json.Unmarshal(raw, &finals); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		kinds  []pattern.Kind
+		seed   int64
+		window int64
+		wantV3 bool
+	}{
+		{name: "single", kinds: []pattern.Kind{pattern.Triangle}, seed: 11},
+		{name: "single-window", kinds: []pattern.Kind{pattern.Triangle}, seed: 12, window: 200},
+		{name: "multi3", kinds: []pattern.Kind{pattern.Triangle, pattern.Wedge, pattern.FourClique}, seed: 13, wantV3: true},
+		{name: "multi1", kinds: []pattern.Kind{pattern.FourClique}, seed: 14, wantV3: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blob, err := os.ReadFile("testdata/legacy-" + tc.name + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := DecodeSnapshot(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Multi() != tc.wantV3 {
+				t.Fatalf("blob shape: multi=%v, want %v", snap.Multi(), tc.wantV3)
+			}
+			restored, err := Restore(snap, Config{Weight: weights.GPSDefault(), SkipTemporal: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored.ProcessBatch(s[cut:])
+
+			whole, err := New(Config{
+				M: 96, Pattern: tc.kinds[0], Secondary: tc.kinds[1:], Weight: weights.GPSDefault(),
+				Rng: xrand.New(tc.seed), SkipTemporal: true, Temporal: window.Spec{Window: tc.window},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole.ProcessBatch(s)
+
+			got := restored.Estimates()
+			if !slices.Equal(got, whole.Estimates()) || !slices.Equal(got, finals[tc.name]) {
+				t.Fatalf("restored estimates %v, uninterrupted %v, recorded %v", got, whole.Estimates(), finals[tc.name])
+			}
+			tp, tq := restored.Thresholds()
+			wtp, wtq := whole.Thresholds()
+			if tp != wtp || tq != wtq || restored.SampleSize() != whole.SampleSize() {
+				t.Fatalf("thresholds/sample (%v,%v,%d), uninterrupted (%v,%v,%d)",
+					tp, tq, restored.SampleSize(), wtp, wtq, whole.SampleSize())
+			}
+		})
 	}
 }

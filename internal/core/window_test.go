@@ -96,6 +96,66 @@ func TestDecayOverProvisionedIsExact(t *testing.T) {
 	}
 }
 
+// temporalKinds is the pattern set of the multi-pattern temporal tests:
+// a clique primary on the CliqueSink route, a second clique kind sharing its
+// common-neighborhood collection, and a wedge on the materializing route.
+var temporalKinds = []pattern.Kind{pattern.Triangle, pattern.Wedge, pattern.FourClique}
+
+// TestWindowMultiPatternOverProvisionedIsExact extends the over-provisioned
+// window check to one counter over several patterns: expiry replays each
+// aged edge through the shared deletion path once, and every pattern's
+// estimate must equal its windowed exact count at every step.
+func TestWindowMultiPatternOverProvisionedIsExact(t *testing.T) {
+	for _, w := range []int64{15, 40, 120} {
+		s := temporalTestStream(31, 13, 500)
+		c, err := New(Config{
+			M: 4096, Pattern: temporalKinds[0], Secondary: temporalKinds[1:],
+			Rng: xrand.New(1), SkipTemporal: true, Temporal: window.Spec{Window: w},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := exact.NewWindow(w, temporalKinds...)
+		for i, ev := range s {
+			c.Process(ev)
+			oracle.Apply(ev)
+			for _, k := range temporalKinds {
+				got, _ := c.EstimateOf(k)
+				if want := float64(oracle.Count(k)); got != want {
+					t.Fatalf("%s window %d step %d: estimate %v, exact windowed count %v", k, w, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecayMultiPatternOverProvisionedIsExact is the decay analogue: every
+// pattern's estimate decays by the same per-insertion factor as the decayed
+// oracle and must agree with it bit for bit.
+func TestDecayMultiPatternOverProvisionedIsExact(t *testing.T) {
+	for _, half := range []float64{7.5, 60, 1000} {
+		s := temporalTestStream(77, 13, 500)
+		c, err := New(Config{
+			M: 4096, Pattern: temporalKinds[0], Secondary: temporalKinds[1:],
+			Rng: xrand.New(1), SkipTemporal: true, Temporal: window.Spec{Halflife: half},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := exact.NewDecay(half, temporalKinds...)
+		for i, ev := range s {
+			c.Process(ev)
+			oracle.Apply(ev)
+			for _, k := range temporalKinds {
+				got, _ := c.EstimateOf(k)
+				if want := oracle.Value(k); got != want {
+					t.Fatalf("%s halflife %v step %d: estimate %v, decayed oracle %v", k, half, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestTemporalModesMutuallyExclusive checks config validation.
 func TestTemporalModesMutuallyExclusive(t *testing.T) {
 	_, err := New(Config{

@@ -122,7 +122,7 @@ type Completer struct {
 	// Per-call state read by the prebound closures.
 	view   ItemView
 	isect  IntersectView // non-nil when view supports sorted intersection
-	sink   CliqueSink    // non-nil on the ForEachClique fast path
+	sink   CliqueSink    // non-nil on the MultiCompleter.ForEachWithSink path
 	a, b   graph.VertexID
 	hi     graph.VertexID // probe side while collecting common neighbors
 	hiIsB  bool           // whether hi == b (payload ordering)
@@ -271,29 +271,6 @@ func (c *Completer) ForEach(v View, a, b graph.VertexID, fn func(others []graph.
 	// Drop references so retained Completers don't pin the view or callback.
 	c.view, c.isect, c.fn = nil, nil, nil
 	c.adapt.View = nil
-}
-
-// ForEachClique is the zero-materialization clique fast path: it enumerates
-// the completer's clique instances into sink's typed callbacks instead of
-// assembling per-instance edge and payload slices. It reports false — having
-// enumerated nothing — when the kind is not in the clique family or the view
-// does not support sorted intersection; the caller then falls back to
-// ForEach. Like ForEach it is allocation-free after warm-up and not
-// reentrant.
-func (c *Completer) ForEachClique(v View, a, b graph.VertexID, sink CliqueSink) bool {
-	if !isClique(c.kind) || sink == nil {
-		return false
-	}
-	is, ok := v.(IntersectView)
-	if !ok {
-		return false
-	}
-	c.view, c.isect, c.sink = is, is, sink
-	c.a, c.b, c.stop = a, b, false
-	c.collect(is, a, b)
-	c.emitCliquesIntersect()
-	c.view, c.isect, c.sink = nil, nil, nil
-	return true
 }
 
 // Count returns the number of instances completed by {a, b}, allocation-free.

@@ -114,9 +114,13 @@ func checkDifferential(t *testing.T, comps map[Kind]*Completer, view View, a, b 
 		if !isClique(k) {
 			continue
 		}
+		m, err := NewMultiCompleter([]Kind{k})
+		if err != nil {
+			t.Fatal(err)
+		}
 		sink := &recordSink{t: t, a: a, b: b}
-		if !c.ForEachClique(view, a, b, sink) {
-			t.Fatalf("%s %s: ForEachClique unexpectedly unsupported", label, k)
+		if !m.ForEachWithSink(view, a, b, make([]func([]graph.Edge, []any) bool, 1), sink) {
+			t.Fatalf("%s %s: ForEachWithSink unexpectedly unsupported", label, k)
 		}
 		sort.Strings(sink.insts)
 		if !reflect.DeepEqual(sink.insts, fast) {

@@ -134,9 +134,9 @@ func (m *MultiCompleter) ForEach(v View, a, b graph.VertexID, fns []func(others 
 
 // ForEachWithSink enumerates like ForEach but routes every clique-family kind
 // in the set through sink's typed callbacks (the zero-materialization fast
-// path of Completer.ForEachClique), collecting the shared common neighborhood
-// once: OnCommon fires once per common neighbor, then each clique kind's
-// instances arrive via OnTriangle/OnPair/OnTriple. Non-clique kinds still use
+// path: no per-instance edge or payload slices), collecting the shared common
+// neighborhood once: OnCommon fires once per common neighbor, then each
+// clique kind's instances arrive via OnTriangle/OnPair/OnTriple. Non-clique kinds still use
 // their fns entries, whose clique-position entries are ignored. It reports
 // false — having enumerated nothing — when the view does not support sorted
 // intersection or sink is nil; the caller then falls back to ForEach.

@@ -45,10 +45,10 @@ type Checkpointable interface {
 }
 
 // VectorCounter is optionally implemented by counters that maintain several
-// estimates side by side (core.MultiCounter: one per pattern). The processor
-// publishes every estimate after each envelope, so concurrent readers get the
-// whole vector lock-free through EstimateAt. Estimate() must equal index 0 of
-// the vector (the primary estimate).
+// estimates side by side (core.Counter: one per counted pattern). The
+// processor publishes every estimate after each envelope, so concurrent
+// readers get the whole vector lock-free through EstimateAt. Estimate() must
+// equal index 0 of the vector (the primary estimate).
 type VectorCounter interface {
 	Counter
 	// NumEstimates returns the (fixed) number of estimates.

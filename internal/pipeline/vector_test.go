@@ -20,10 +20,10 @@ func vectorStream(t *testing.T, seed int64, n int) stream.Stream {
 	return stream.LightDeletion(gen.BarabasiAlbert(n, 4, rng), 0.2, rng)
 }
 
-func newMulti(t *testing.T, seed int64) *core.MultiCounter {
+func newMulti(t *testing.T, seed int64) *core.Counter {
 	t.Helper()
-	c, err := core.NewMulti(core.MultiConfig{
-		M: 300, Patterns: vectorKinds, Weight: weights.GPSDefault(),
+	c, err := core.New(core.Config{
+		M: 300, Pattern: vectorKinds[0], Secondary: vectorKinds[1:], Weight: weights.GPSDefault(),
 		Rng: xrand.New(seed), SkipTemporal: true,
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestVectorSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreMulti(snap, core.MultiConfig{Weight: weights.GPSDefault(), SkipTemporal: true})
+	restored, err := core.Restore(snap, core.Config{Weight: weights.GPSDefault(), SkipTemporal: true})
 	if err != nil {
 		t.Fatal(err)
 	}

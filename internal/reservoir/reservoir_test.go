@@ -539,7 +539,7 @@ func TestForEachPairAmongEdgeCases(t *testing.T) {
 	}
 }
 
-// TestDenseIndexGrowthAmortized pins the adjDense growth policy: streams
+// TestDenseIndexGrowthAmortized pins the adjIdx growth policy: streams
 // that introduce vertex IDs in ascending order (most generators do) must
 // not recopy the whole dense index on every new vertex. Exact-size growth
 // here is O(V^2) bytes — ~200MB for the 4096 vertices below — and showed

@@ -180,15 +180,7 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 	// configured options, so seed, combiner, budget mode, and partition slot
 	// all match the live counter.
 	opts := append(s.cfg.Options[:len(s.cfg.Options):len(s.cfg.Options)], wsd.WithPolicy(art.Policy))
-	var (
-		ens *wsd.ShardedCounter
-		err error
-	)
-	if len(s.cfg.Patterns) > 0 {
-		ens, err = wsd.NewShardedMultiCounter(s.patterns, s.cfg.M, s.cfg.Shards, opts...)
-	} else {
-		ens, err = wsd.NewShardedCounter(s.patterns[0], s.cfg.M, s.cfg.Shards, opts...)
-	}
+	ens, err := wsd.NewShardedMultiCounter(s.patterns, s.cfg.M, s.cfg.Shards, opts...)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -57,7 +57,7 @@ type Config struct {
 	M int
 	// Shards is the ensemble width; values < 1 mean 1.
 	Shards int
-	// Options are passed to NewShardedCounter and to RestoreShardedCounter,
+	// Options are passed to NewShardedMultiCounter and RestoreShardedCounter,
 	// so seed, weight function, combiner and budget mode survive /restore.
 	// Prefer Policy over a raw wsd.WithPolicy option here: the server keeps
 	// Policy out of the restore options so a snapshot's own embedded policy
@@ -83,12 +83,12 @@ type Config struct {
 	// Window, when > 0, makes the deployment serve sliding-window estimates
 	// over the last Window insertion events (wsd.WithWindow): every
 	// /estimate reply is the windowed count, /healthz reports the mode, and
-	// the mode survives /restore. Mutually exclusive with Halflife and with
-	// Patterns (multi-pattern deployments are whole-stream only).
+	// the mode survives /restore. Applies to every served pattern. Mutually
+	// exclusive with Halflife.
 	Window int64
 	// Halflife, when > 0, makes the deployment serve exponentially decayed
 	// estimates with this halflife in insertion events (wsd.WithDecay).
-	// Mutually exclusive with Window and with Patterns.
+	// Applies to every served pattern. Mutually exclusive with Window.
 	Halflife float64
 }
 
@@ -178,9 +178,6 @@ func New(cfg Config) (*Server, error) {
 	// checks, and query matching all compare one canonical form.
 	cfg.Window, cfg.Halflife = temporal.Window, temporal.Halflife
 	if !temporal.IsZero() {
-		if len(cfg.Patterns) > 0 {
-			return nil, fmt.Errorf("serve: multi-pattern deployments do not support window/halflife")
-		}
 		// Like the partition option: land the mode in cfg.Options so
 		// /restore rebuilds (and cross-checks) the same temporal counter.
 		opts := cfg.Options[:len(cfg.Options):len(cfg.Options)]
@@ -206,12 +203,7 @@ func New(cfg Config) (*Server, error) {
 		buildOpts = append(cfg.Options[:len(cfg.Options):len(cfg.Options)], wsd.WithPolicy(cfg.Policy.Policy))
 		status = statusFromArtifact(cfg.Policy, policySourceBoot)
 	}
-	var ens *wsd.ShardedCounter
-	if len(cfg.Patterns) > 0 {
-		ens, err = wsd.NewShardedMultiCounter(patterns, cfg.M, cfg.Shards, buildOpts...)
-	} else {
-		ens, err = wsd.NewShardedCounter(cfg.Pattern, cfg.M, cfg.Shards, buildOpts...)
-	}
+	ens, err := wsd.NewShardedMultiCounter(patterns, cfg.M, cfg.Shards, buildOpts...)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	wsd "repro"
 
 	"repro/internal/cluster"
+	"repro/internal/exact"
 	"repro/internal/stream"
 )
 
@@ -308,5 +309,59 @@ func TestCoordinatorTemporalFleet(t *testing.T) {
 	}
 	if code, body := getStatus(t, ts.URL+"/estimate?bogus=1"); code != http.StatusBadRequest || !strings.Contains(body, `"bogus"`) {
 		t.Fatalf("unknown parameter on coordinator = %d: %s", code, body)
+	}
+}
+
+// TestServedWindowMultiPatternEstimates: a multi-pattern deployment with a
+// window serves every pattern's windowed count. Over-provisioned (one shard
+// holding every live edge), /estimate?pattern= must equal the windowed
+// exact count for each served pattern; the snapshot restores into a second
+// windowed multi-pattern server that answers identically.
+func TestServedWindowMultiPatternEstimates(t *testing.T) {
+	const win = 120
+	s := testStream(t, 11, 400)
+	var body bytes.Buffer
+	if err := stream.WriteBinary(&body, s); err != nil {
+		t.Fatal(err)
+	}
+	newServer := func() (*Server, *httptest.Server) {
+		srv, err := New(Config{Patterns: servedPatterns, M: len(s), Shards: 1,
+			Options: []wsd.Option{wsd.WithSeed(9)}, Window: win})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		return srv, ts
+	}
+	srv, ts := newServer()
+	post(t, ts.URL+"/ingest", body.Bytes())
+	blob, err := srv.Snapshot() // quiesce
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := exact.NewWindow(win, servedPatterns...)
+	for _, ev := range s {
+		oracle.Apply(ev)
+	}
+	restored, rts := newServer()
+	if _, err := restored.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range servedPatterns {
+		want := float64(oracle.Count(p))
+		for name, url := range map[string]string{"live": ts.URL, "restored": rts.URL} {
+			var est struct {
+				Estimate float64 `json:"estimate"`
+				Window   int64   `json:"window"`
+			}
+			if err := json.Unmarshal(get(t, url+"/estimate?pattern="+p.String()), &est); err != nil {
+				t.Fatal(err)
+			}
+			if est.Estimate != want || est.Window != win {
+				t.Fatalf("%s %s: served estimate %v (window %d), exact windowed count %v (window %d)",
+					name, p, est.Estimate, est.Window, want, win)
+			}
+		}
 	}
 }

@@ -60,7 +60,7 @@ type Checkpointable interface {
 }
 
 // VectorCounter is optionally implemented by counters that maintain several
-// estimates side by side (core.MultiCounter: one per pattern). When every
+// estimates side by side (core.Counter: one per counted pattern). When every
 // shard counter implements it, each worker publishes the whole vector and the
 // ensemble combines it index by index, so one shard fleet serves P pattern
 // queries at once. Estimate() must equal index 0 of the vector.

@@ -20,10 +20,10 @@ func vectorStream(t *testing.T, seed int64, n int) stream.Stream {
 	return stream.LightDeletion(gen.BarabasiAlbert(n, 4, rng), 0.2, rng)
 }
 
-func newMultiShard(t *testing.T, m int, seed int64) *core.MultiCounter {
+func newMultiShard(t *testing.T, m int, seed int64) *core.Counter {
 	t.Helper()
-	c, err := core.NewMulti(core.MultiConfig{
-		M: m, Patterns: vectorKinds, Weight: weights.GPSDefault(),
+	c, err := core.New(core.Config{
+		M: m, Pattern: vectorKinds[0], Secondary: vectorKinds[1:], Weight: weights.GPSDefault(),
 		Rng: xrand.New(seed), SkipTemporal: true,
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func TestEnsembleVector(t *testing.T) {
 	s := vectorStream(t, 3, 500)
 	const shards, m = 3, 128
 
-	direct := make([]*core.MultiCounter, shards)
+	direct := make([]*core.Counter, shards)
 	for i := range direct {
 		direct[i] = newMultiShard(t, m, 20+int64(i))
 		direct[i].ProcessBatch(s)
@@ -132,7 +132,7 @@ func TestEnsembleVectorSnapshotResume(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return core.RestoreMulti(snap, core.MultiConfig{Weight: weights.GPSDefault(), SkipTemporal: true})
+		return core.Restore(snap, core.Config{Weight: weights.GPSDefault(), SkipTemporal: true})
 	})
 	if err != nil {
 		t.Fatal(err)

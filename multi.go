@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pattern"
-	"repro/internal/shard"
 	"repro/internal/xrand"
 )
 
@@ -18,12 +17,12 @@ import (
 // The first pattern is the primary one: the sampling weights are tuned for it
 // (the WSD-H heuristic and the MDP state are computed from its completions),
 // while every pattern's estimate remains unbiased. Put the pattern you care
-// most about first.
+// most about first. WithWindow and WithDecay apply to every pattern.
 //
 // A MultiCounter is not safe for concurrent use; wrap it in a Processor, or
 // build a sharded deployment with NewShardedMultiCounter.
 type MultiCounter struct {
-	inner *core.MultiCounter
+	inner *core.Counter
 }
 
 // NewMultiCounter returns a multi-pattern WSD counter over the given patterns
@@ -31,33 +30,12 @@ type MultiCounter struct {
 // NewCounter; without options it is WSD-H with the heuristic computed on the
 // primary pattern.
 func NewMultiCounter(patterns []Pattern, m int, opts ...Option) (*MultiCounter, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	w, err := resolveWeight(&o)
+	o := newOptions(opts)
+	cfg, err := coreConfig(&o, patterns, m)
 	if err != nil {
 		return nil, err
 	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	if o.window != 0 || o.halflife != 0 {
-		// The shared sample serves every pattern, but expiry and decay would
-		// have to re-tune the primary-pattern weights per mode; refuse until
-		// the temporal modes learn multi-pattern semantics.
-		return nil, fmt.Errorf("wsd: multi-pattern counters do not support WithWindow/WithDecay")
-	}
-	inner, err := core.NewMulti(core.MultiConfig{
-		M:            m,
-		Patterns:     patterns,
-		Weight:       w,
-		Rng:          xrand.New(o.seed),
-		SkipTemporal: skipTemporal(&o),
-		Policy:       policyAnnotation(&o),
-		EventWeight:  ew,
-	})
+	inner, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -94,44 +72,29 @@ func (c *MultiCounter) SampleSize() int { return c.inner.SampleSize() }
 func (c *MultiCounter) Name() string { return c.inner.Name() }
 
 // Checkpoint serializes the counter's complete state — sample, thresholds,
-// every pattern's estimate, and RNG state — for RestoreMultiCounter.
+// every pattern's estimate, temporal bookkeeping, and RNG state — for
+// RestoreMultiCounter.
 func (c *MultiCounter) Checkpoint() ([]byte, error) { return c.inner.Checkpoint() }
 
-// Core returns the underlying multi-pattern counter for use with the
-// ingestion layers: NewProcessor(mc.Core(), ...) publishes all P estimates
-// (read them with Processor.EstimateAt in Patterns order). The caller must
-// not drive Core and the wrapper concurrently.
-func (c *MultiCounter) Core() *core.MultiCounter { return c.inner }
+// Core returns the underlying counter for use with the ingestion layers:
+// NewProcessor(mc.Core(), ...) publishes all P estimates (read them with
+// Processor.EstimateAt in Patterns order). The caller must not drive Core
+// and the wrapper concurrently.
+func (c *MultiCounter) Core() *core.Counter { return c.inner }
 
 // RestoreMultiCounter revives a multi-pattern counter from a Checkpoint blob.
 // As with RestoreCounter, heuristic weight options must match the original
 // construction, while a learned policy is revived from the blob itself when
-// no explicit weight option is given; the patterns, budget, estimates, and
-// RNG state come from the blob, and the restored counter continues
-// bit-identically on every pattern.
+// no explicit weight option is given; the patterns, budget, estimates,
+// temporal mode, and RNG state come from the blob, and the restored counter
+// continues bit-identically on every pattern.
 func RestoreMultiCounter(data []byte, opts ...Option) (*MultiCounter, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	if o.window != 0 || o.halflife != 0 {
-		return nil, fmt.Errorf("wsd: multi-pattern counters do not support WithWindow/WithDecay")
-	}
+	o := newOptions(opts)
 	snap, err := core.DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	w, skip, params, err := restoreWeight(&o, snap.Policy)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.RestoreMulti(snap, core.MultiConfig{
-		Weight: w, Rng: xrand.New(o.seed), SkipTemporal: skip, Policy: params, EventWeight: ew,
-	})
+	inner, err := restoreCore(snap, &o, xrand.New(o.seed))
 	if err != nil {
 		return nil, err
 	}
@@ -148,86 +111,7 @@ func RestoreMultiCounter(data []byte, opts ...Option) (*MultiCounter, error) {
 // Budget semantics and options match NewShardedCounter, with the split-budget
 // floor checked against the largest pattern.
 func NewShardedMultiCounter(patterns []Pattern, m, shards int, opts ...Option) (*ShardedCounter, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("wsd: shards=%d, need at least 1", shards)
-	}
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	w, err := resolveWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	if o.window != 0 || o.halflife != 0 {
-		return nil, fmt.Errorf("wsd: multi-pattern counters do not support WithWindow/WithDecay")
-	}
-	budgets := shard.SplitBudget(m, shards)
-	counters := make([]shard.Counter, shards)
-	for i := range counters {
-		budget := m
-		if !o.fullBudget {
-			budget = budgets[i]
-			for _, p := range patterns {
-				if budget < p.Size() {
-					return nil, fmt.Errorf("wsd: split budget m/shards=%d/%d is below pattern size |H|=%d for %s; use fewer shards, a larger m, or WithFullBudgetShards", m, shards, p.Size(), p)
-				}
-			}
-		}
-		wi := w
-		if o.policy != nil {
-			// As in NewShardedCounter: policy closures carry per-call scratch
-			// state; give each shard worker its own.
-			wi = o.policy.Func()
-		}
-		c, err := core.NewMulti(core.MultiConfig{
-			M:            budget,
-			Patterns:     patterns,
-			Weight:       wi,
-			Rng:          xrand.NewSequence(o.seed, int64(i)),
-			SkipTemporal: skipTemporal(&o),
-			Policy:       policyAnnotation(&o),
-			EventWeight:  ew,
-		})
-		if err != nil {
-			return nil, err
-		}
-		counters[i] = c
-	}
-	return shard.New(counters, shardOptions(&o)...)
-}
-
-// restoreShardCounter rebuilds one shard counter from its decoded snapshot,
-// dispatching on the snapshot's shape: multi-pattern snapshots revive
-// multi-pattern counters, so RestoreShardedCounter and the serving /restore
-// path work unchanged for both deployment kinds. Weight precedence follows
-// restoreWeight, called per shard so policy closures — explicit or
-// snapshot-embedded — are private to each shard worker goroutine.
-func restoreShardCounter(snap *core.Snapshot, o *options, i int) (shard.Counter, error) {
-	wi, skip, params, err := restoreWeight(o, snap.Policy)
-	if err != nil {
-		return nil, err
-	}
-	ew, err := partitionWeight(o)
-	if err != nil {
-		return nil, err
-	}
-	rng := xrand.NewSequence(o.seed, int64(i))
-	if snap.Multi() {
-		if o.window != 0 || o.halflife != 0 {
-			return nil, fmt.Errorf("wsd: multi-pattern counters do not support WithWindow/WithDecay")
-		}
-		return core.RestoreMulti(snap, core.MultiConfig{Weight: wi, Rng: rng, SkipTemporal: skip, Policy: params, EventWeight: ew})
-	}
-	spec, err := resolveTemporal(o)
-	if err != nil {
-		return nil, err
-	}
-	return core.Restore(snap, core.Config{Weight: wi, Rng: rng, SkipTemporal: skip, Policy: params, EventWeight: ew, Temporal: spec})
+	return newShardedCounter(patterns, m, shards, opts)
 }
 
 // MultiPatterns is a convenience constructor for the patterns argument:

@@ -8,11 +8,15 @@ import (
 	wsd "repro"
 )
 
-// shardedSnapshotSeed builds a real sharded-counter snapshot to seed the
-// fuzzer with structurally valid input.
-func shardedSnapshotSeed(tb testing.TB, shards int) []byte {
+// shardedSnapshotSeed builds a real sharded-counter snapshot over patterns
+// (triangle when none are named) to seed the fuzzer with structurally valid
+// input.
+func shardedSnapshotSeed(tb testing.TB, shards int, patterns ...wsd.Pattern) []byte {
 	tb.Helper()
-	ens, err := wsd.NewShardedCounter(wsd.TrianglePattern, 64, shards, wsd.WithSeed(3))
+	if len(patterns) == 0 {
+		patterns = []wsd.Pattern{wsd.TrianglePattern}
+	}
+	ens, err := wsd.NewShardedMultiCounter(patterns, 64, shards, wsd.WithSeed(3))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -49,6 +53,9 @@ func FuzzShardedSnapshotDecode(f *testing.F) {
 	// A version-1 envelope whose shard payload declares more items than M.
 	f.Add([]byte(`{"version":1,"shards":[{"version":2,"m":2,"pattern":1,"items":[` +
 		`{"u":1,"v":2,"rank":1},{"u":2,"v":3,"rank":1},{"u":3,"v":4,"rank":1}]}]}`))
+	// A multi-pattern ensemble: shards in the version-3 patterns/estimates
+	// shape.
+	f.Add(shardedSnapshotSeed(f, 2, wsd.TrianglePattern, wsd.WedgePattern, wsd.FourCliquePattern))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, inspectErr := wsd.InspectShardedSnapshot(data)

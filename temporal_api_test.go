@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	wsd "repro"
 
+	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/stream"
 )
@@ -79,8 +81,9 @@ func TestTemporalDegenerateBitIdentity(t *testing.T) {
 }
 
 // TestTemporalFacadeRefusals pins the facade's pointed errors: local counters
-// and multi-pattern counters do not serve temporal modes, and the two modes
-// are mutually exclusive everywhere.
+// do not serve temporal modes, and the two modes are mutually exclusive
+// everywhere. Multi-pattern counters do serve them: under WithDecay the
+// primary estimate is bit-identical to a single-pattern decayed counter's.
 func TestTemporalFacadeRefusals(t *testing.T) {
 	if _, err := wsd.NewCounter(wsd.TrianglePattern, 100, wsd.WithWindow(10), wsd.WithDecay(5)); err == nil {
 		t.Fatal("WithWindow+WithDecay accepted; the modes are mutually exclusive")
@@ -88,8 +91,20 @@ func TestTemporalFacadeRefusals(t *testing.T) {
 	if _, err := wsd.NewLocalCounter(wsd.TrianglePattern, 100, wsd.WithWindow(10)); err == nil {
 		t.Fatal("local counter accepted WithWindow")
 	}
-	if _, err := wsd.NewMultiCounter([]wsd.Pattern{wsd.TrianglePattern, wsd.WedgePattern}, 100, wsd.WithDecay(5)); err == nil {
-		t.Fatal("multi-pattern counter accepted WithDecay")
+	multi, err := wsd.NewMultiCounter([]wsd.Pattern{wsd.TrianglePattern, wsd.WedgePattern}, 100, wsd.WithDecay(5))
+	if err != nil {
+		t.Fatalf("multi-pattern counter refused WithDecay: %v", err)
+	}
+	single, err := wsd.NewCounter(wsd.TrianglePattern, 100, wsd.WithDecay(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range temporalTestEvents(31) {
+		multi.Process(ev)
+		single.Process(ev)
+	}
+	if got, _ := multi.Estimate(wsd.TrianglePattern); got != single.Estimate() {
+		t.Fatalf("decayed multi-pattern primary estimate %v, single-pattern %v", got, single.Estimate())
 	}
 	if _, err := wsd.NewCounter(wsd.TrianglePattern, 100, wsd.WithWindow(-3)); err == nil {
 		t.Fatal("negative window accepted")
@@ -174,4 +189,62 @@ func FuzzWindowedSnapshotDecode(f *testing.F) {
 		}
 		ens.Close()
 	})
+}
+
+// TestWindowMultiPatternFacade: one windowed multi-pattern counter serves
+// every pattern's windowed count. Over-provisioned, each estimate equals the
+// windowed exact oracle at every step; a checkpoint taken mid-stream
+// restores into a counter that keeps the window and resumes bit-identically;
+// and a sharded multi-pattern ensemble with full budgets agrees with it.
+func TestWindowMultiPatternFacade(t *testing.T) {
+	const w = 60
+	s := temporalTestEvents(23)
+	whole, err := wsd.NewMultiCounter(apiPatterns, 4096, wsd.WithSeed(8), wsd.WithWindow(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := exact.NewWindow(w, apiPatterns...)
+	cut := len(s) / 2
+	var blob []byte
+	for i, ev := range s {
+		whole.Process(ev)
+		oracle.Apply(ev)
+		for _, p := range apiPatterns {
+			got, err := whole.Estimate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := float64(oracle.Count(p)); got != want {
+				t.Fatalf("%s step %d: windowed estimate %v, exact %v", p, i, got, want)
+			}
+		}
+		if i == cut-1 {
+			if blob, err = whole.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	restored, err := wsd.RestoreMultiCounter(blob, wsd.WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.ProcessBatch(s[cut:])
+	if got, want := restored.Estimates(), whole.Estimates(); !slices.Equal(got, want) {
+		t.Fatalf("restored windowed estimates %v, uninterrupted %v", got, want)
+	}
+
+	ens, err := wsd.NewShardedMultiCounter(apiPatterns, 4096, 2, wsd.WithSeed(8), wsd.WithWindow(w), wsd.WithFullBudgetShards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ens.SubmitBatch(s); err != nil {
+		t.Fatal(err)
+	}
+	ens.Close()
+	for i, want := range whole.Estimates() {
+		if got := ens.EstimateAt(i); got != want {
+			t.Fatalf("sharded windowed %s estimate %v, want %v", apiPatterns[i], got, want)
+		}
+	}
 }

@@ -121,6 +121,15 @@ type options struct {
 // Option configures a counter constructor.
 type Option func(*options)
 
+// newOptions applies opts over the defaults (seed 1, WSD-H, whole stream).
+func newOptions(opts []Option) options {
+	o := options{seed: 1}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // WithSeed fixes the sampler's randomness; counters with equal seeds and
 // inputs are fully deterministic.
 func WithSeed(seed int64) Option {
@@ -181,8 +190,7 @@ func WithPartition(index, count int) Option {
 // time — the stream carries no wall-clock timestamps, so "the last hour"
 // translates to the producer's known event rate. w = math.MaxInt64 (nothing
 // ever expires) is bit-identical to the whole-stream counter. Mutually
-// exclusive with WithDecay; not supported by multi-pattern or local
-// counters.
+// exclusive with WithDecay; not supported by local counters.
 func WithWindow(w int64) Option {
 	return func(o *options) { o.window = w }
 }
@@ -194,7 +202,7 @@ func WithWindow(w int64) Option {
 // inverse factor, biasing the reservoir toward recent edges by exactly the
 // decay ratio (the WRS temporal-locality insight). halflife = +Inf is
 // bit-identical to the whole-stream counter. Mutually exclusive with
-// WithWindow; not supported by multi-pattern or local counters.
+// WithWindow; not supported by local counters.
 func WithDecay(halflife float64) Option {
 	return func(o *options) { o.halflife = halflife }
 }
@@ -274,35 +282,48 @@ func restoreWeight(o *options, embedded *core.PolicyParams) (WeightFunc, bool, *
 	return weights.GPSDefault(), true, nil, nil
 }
 
+// coreConfig resolves the constructor options into the core configuration
+// counting patterns (primary first) with reservoir capacity m, shared by every
+// counter constructor. The weight function and seed serve a single counter;
+// the sharded builder replaces them per shard.
+func coreConfig(o *options, patterns []Pattern, m int) (core.Config, error) {
+	if len(patterns) == 0 {
+		return core.Config{}, fmt.Errorf("wsd: no patterns to count")
+	}
+	w, err := resolveWeight(o)
+	if err != nil {
+		return core.Config{}, err
+	}
+	ew, err := partitionWeight(o)
+	if err != nil {
+		return core.Config{}, err
+	}
+	spec, err := resolveTemporal(o)
+	if err != nil {
+		return core.Config{}, err
+	}
+	return core.Config{
+		M:            m,
+		Pattern:      patterns[0],
+		Secondary:    patterns[1:],
+		Weight:       w,
+		Rng:          xrand.New(o.seed),
+		SkipTemporal: skipTemporal(o),
+		Policy:       policyAnnotation(o),
+		EventWeight:  ew,
+		Temporal:     spec,
+	}, nil
+}
+
 // NewCounter returns a WSD counter for the given pattern with reservoir
 // capacity m. Without options it is WSD-H (the paper's heuristic instance).
 func NewCounter(p Pattern, m int, opts ...Option) (Counter, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	w, err := resolveWeight(&o)
+	o := newOptions(opts)
+	cfg, err := coreConfig(&o, []Pattern{p}, m)
 	if err != nil {
 		return nil, err
 	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := resolveTemporal(&o)
-	if err != nil {
-		return nil, err
-	}
-	return core.New(core.Config{
-		M:            m,
-		Pattern:      p,
-		Weight:       w,
-		Rng:          xrand.New(o.seed),
-		SkipTemporal: skipTemporal(&o),
-		Policy:       policyAnnotation(&o),
-		EventWeight:  ew,
-		Temporal:     spec,
-	})
+	return core.New(cfg)
 }
 
 // NewTriangleCounter returns a WSD triangle counter with reservoir capacity
@@ -369,33 +390,18 @@ type VertexCount = local.VertexCount
 // NewLocalCounter returns a WSD counter that additionally maintains unbiased
 // per-vertex participation estimates.
 func NewLocalCounter(p Pattern, m int, opts ...Option) (*LocalCounter, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	w, err := resolveWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
+	o := newOptions(opts)
 	if o.window != 0 || o.halflife != 0 {
 		// The per-vertex estimates do not yet carry the temporal modes (a
 		// decayed global estimate with undecayed local counts would be
 		// silently inconsistent), so refuse loudly instead.
 		return nil, fmt.Errorf("wsd: local counters do not support WithWindow/WithDecay")
 	}
-	return local.New(core.Config{
-		M:            m,
-		Pattern:      p,
-		Weight:       w,
-		Rng:          xrand.New(o.seed),
-		SkipTemporal: skipTemporal(&o),
-		Policy:       policyAnnotation(&o),
-		EventWeight:  ew,
-	})
+	cfg, err := coreConfig(&o, []Pattern{p}, m)
+	if err != nil {
+		return nil, err
+	}
+	return local.New(cfg)
 }
 
 // Batch is a refcounted, pool-recycled batch of events: the zero-allocation
@@ -444,51 +450,40 @@ type ShardedCounter = shard.Ensemble
 // each shard receives its own evaluation closure, since a policy closure's
 // scratch state is single-goroutine.
 func NewShardedCounter(p Pattern, m, shards int, opts ...Option) (*ShardedCounter, error) {
+	return newShardedCounter([]Pattern{p}, m, shards, opts)
+}
+
+// newShardedCounter is the one ensemble builder behind NewShardedCounter and
+// NewShardedMultiCounter: shards independently seeded core counters over
+// patterns (primary first), each with its split or full budget.
+func newShardedCounter(patterns []Pattern, m, shards int, opts []Option) (*ShardedCounter, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("wsd: shards=%d, need at least 1", shards)
 	}
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	w, err := resolveWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := resolveTemporal(&o)
+	o := newOptions(opts)
+	cfg, err := coreConfig(&o, patterns, m)
 	if err != nil {
 		return nil, err
 	}
 	budgets := shard.SplitBudget(m, shards)
 	counters := make([]shard.Counter, shards)
 	for i := range counters {
-		budget := m
+		ci := cfg
 		if !o.fullBudget {
-			budget = budgets[i]
-			if budget < p.Size() {
-				return nil, fmt.Errorf("wsd: split budget m/shards=%d/%d is below pattern size |H|=%d; use fewer shards, a larger m, or WithFullBudgetShards", m, shards, p.Size())
+			ci.M = budgets[i]
+			for _, p := range patterns {
+				if ci.M < p.Size() {
+					return nil, fmt.Errorf("wsd: split budget m/shards=%d/%d is below pattern size |H|=%d for %s; use fewer shards, a larger m, or WithFullBudgetShards", m, shards, p.Size(), p)
+				}
 			}
 		}
-		wi := w
 		if o.policy != nil {
-			// Policy closures carry per-call scratch state; give the shard
+			// Policy closures carry per-call scratch state; give each shard
 			// worker goroutine its own.
-			wi = o.policy.Func()
+			ci.Weight = o.policy.Func()
 		}
-		c, err := core.New(core.Config{
-			M:            budget,
-			Pattern:      p,
-			Weight:       wi,
-			Rng:          xrand.NewSequence(o.seed, int64(i)),
-			SkipTemporal: skipTemporal(&o),
-			Policy:       policyAnnotation(&o),
-			EventWeight:  ew,
-			Temporal:     spec,
-		})
+		ci.Rng = xrand.NewSequence(o.seed, int64(i))
+		c, err := core.New(ci)
 		if err != nil {
 			return nil, err
 		}
@@ -544,42 +539,22 @@ func Checkpoint(c any) ([]byte, error) {
 // RNG state comes from the checkpoint, making the restored counter's future
 // trajectory bit-identical to the uninterrupted one.
 func RestoreCounter(data []byte, opts ...Option) (Counter, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
+	o := newOptions(opts)
 	snap, err := core.DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	w, skip, params, err := restoreWeight(&o, snap.Policy)
+	c, err := restoreCore(snap, &o, xrand.New(o.seed))
 	if err != nil {
 		return nil, err
 	}
-	spec, err := resolveTemporal(&o)
-	if err != nil {
-		return nil, err
-	}
-	// A zero spec adopts the snapshot's mode; an explicit WithWindow/
-	// WithDecay must match it (core.Restore checks).
-	return core.Restore(snap, core.Config{Weight: w, Rng: xrand.New(o.seed), SkipTemporal: skip, Policy: params, EventWeight: ew, Temporal: spec})
+	return c, nil
 }
 
 // RestoreLocalCounter revives a local counter from a Checkpoint blob produced
 // by a NewLocalCounter counter, per-vertex estimates included.
 func RestoreLocalCounter(data []byte, opts ...Option) (*LocalCounter, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	ew, err := partitionWeight(&o)
-	if err != nil {
-		return nil, err
-	}
+	o := newOptions(opts)
 	if o.window != 0 || o.halflife != 0 {
 		return nil, fmt.Errorf("wsd: local counters do not support WithWindow/WithDecay")
 	}
@@ -587,11 +562,11 @@ func RestoreLocalCounter(data []byte, opts ...Option) (*LocalCounter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, skip, params, err := restoreWeight(&o, snap.Core.Policy)
+	cfg, err := restoreConfig(&o, snap.Core.Policy, xrand.New(o.seed))
 	if err != nil {
 		return nil, err
 	}
-	return local.Restore(snap, core.Config{Weight: w, Rng: xrand.New(o.seed), SkipTemporal: skip, Policy: params, EventWeight: ew})
+	return local.Restore(snap, cfg)
 }
 
 // ShardedSnapshotInfo summarizes a ShardedCounter snapshot blob without
@@ -713,10 +688,7 @@ func RestoreShardedCounter(data []byte, opts ...Option) (*ShardedCounter, error)
 // built and can veto the restore — how a deployment refuses a snapshot that
 // does not match its configuration, with a single decode of the blob.
 func RestoreShardedCounterChecked(data []byte, check func(ShardedSnapshotInfo) error, opts ...Option) (*ShardedCounter, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newOptions(opts)
 	cores, info, err := decodeShardedSnapshot(data)
 	if err != nil {
 		return nil, err
@@ -728,7 +700,7 @@ func RestoreShardedCounterChecked(data []byte, check func(ShardedSnapshotInfo) e
 	}
 	counters := make([]shard.Counter, len(cores))
 	for i, snap := range cores {
-		c, err := restoreShardCounter(snap, &o, i)
+		c, err := restoreCore(snap, &o, xrand.NewSequence(o.seed, int64(i)))
 		if err != nil {
 			return nil, fmt.Errorf("wsd: restore shard %d: %w", i, err)
 		}
@@ -737,8 +709,42 @@ func RestoreShardedCounterChecked(data []byte, check func(ShardedSnapshotInfo) e
 	return shard.New(counters, append(shardOptions(&o), shard.WithBasePosition(info.Position))...)
 }
 
+// restoreCore rebuilds one core counter from its decoded snapshot, for
+// RestoreCounter, RestoreMultiCounter, and each shard of
+// RestoreShardedCounter: single- and multi-pattern snapshots restore alike.
+func restoreCore(snap *core.Snapshot, o *options, rng core.Rand) (*core.Counter, error) {
+	cfg, err := restoreConfig(o, snap.Policy, rng)
+	if err != nil {
+		return nil, err
+	}
+	return core.Restore(snap, cfg)
+}
+
+// restoreConfig resolves the options into the core.Config every restore
+// passes alongside its snapshot (embedded is the snapshot's policy). rng only
+// serves snapshots without RNG state. Weight precedence follows
+// restoreWeight, called per counter so policy closures — explicit or
+// snapshot-embedded — are private to each shard worker goroutine.
+func restoreConfig(o *options, embedded *core.PolicyParams, rng core.Rand) (core.Config, error) {
+	w, skip, params, err := restoreWeight(o, embedded)
+	if err != nil {
+		return core.Config{}, err
+	}
+	ew, err := partitionWeight(o)
+	if err != nil {
+		return core.Config{}, err
+	}
+	spec, err := resolveTemporal(o)
+	if err != nil {
+		return core.Config{}, err
+	}
+	// A zero spec adopts the snapshot's mode; an explicit WithWindow/
+	// WithDecay must match it (core.Restore checks).
+	return core.Config{Weight: w, Rng: rng, SkipTemporal: skip, Policy: params, EventWeight: ew, Temporal: spec}, nil
+}
+
 // weightSwapper is the optional shard-counter interface behind SwapPolicy;
-// the facade's core and multi counters both implement it.
+// the facade's core counters implement it.
 type weightSwapper interface {
 	SetWeight(w weights.Func, skipTemporal bool, params *core.PolicyParams)
 }
