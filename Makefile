@@ -64,11 +64,13 @@ partition-smoke:
 # property/fuzz suite (the mark-array/merge clique intersection must emit
 # the identical instance multiset as the naive probe-based reference across
 # all five kinds, plain and Live views, random histories), the reservoir
-# intersection regression tests, a short fuzz pass, then the
+# intersection regression tests and its op-history suite against a map
+# reference (sorted rows, degrees, heap order, the adjacency arena's block
+# layout and fragmentation bound), a short fuzz pass, then the
 # dense-community core cell end to end with -race on — the workload whose
 # throughput the intersection layer owns.
 enum-smoke:
-	$(GO) test -race -run 'Differential|PairAmong|Common|AdjacentIn' ./internal/pattern/ ./internal/reservoir/
+	$(GO) test -race -run 'Differential|PairAmong|Common|AdjacentIn|ReservoirOps' ./internal/pattern/ ./internal/reservoir/
 	$(GO) test -run xxx -fuzz FuzzDifferentialEnumeration -fuzztime 20s ./internal/pattern/
 	$(GO) run -race ./cmd/wsdbench -exp suite -only core/dense -trials 1
 

@@ -214,7 +214,7 @@ func main() {
 		booted()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 	go func() {
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fatal(err)
@@ -239,6 +239,29 @@ func main() {
 		log.Printf("wsdserve: checkpointed %d bytes to %s", len(blob), *checkpoint)
 	}
 	closing()
+}
+
+// The server's fixed timeouts. A client that has not sent its whole request
+// header within readHeaderTimeout, or leaves a keep-alive connection idle for
+// idleTimeout, is disconnected, so slow or stalled clients cannot hold
+// connections open indefinitely. idleTimeout exceeds the 90 s after which the
+// coordinator's client drops its own idle connections to workers, so the
+// coordinator, not the worker, ends an idle fleet connection. There is no
+// read or write timeout on the whole request: an /ingest body or a cluster
+// snapshot may legitimately take long. Tests shorten the values.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the process's HTTP server for handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // flagConflict fails fast on flag combinations the process would otherwise

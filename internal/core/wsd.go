@@ -731,9 +731,16 @@ func (s *counterSink) OnTriple(i, j, k int, payIJ, payIK, payJK any) bool {
 }
 
 // foldArrivals sorts one primary-pattern instance's arrival indexes and
-// aggregates them into the temporal state features (Eq. 20).
+// aggregates them into the temporal state features (Eq. 20). An instance has
+// at most 9 edge arrivals, so an in-place insertion sort beats the generic
+// sort's set-up; arrivals are event indexes, never NaN, so the order is the
+// one sort.Float64s gives.
 func (c *Counter) foldArrivals(arr []float64) {
-	sort.Float64s(arr)
+	for i := 1; i < len(arr); i++ {
+		for j := i; j > 0 && arr[j] < arr[j-1]; j-- {
+			arr[j], arr[j-1] = arr[j-1], arr[j]
+		}
+	}
 	for j, a := range arr {
 		switch c.cfg.TemporalAgg {
 		case AggMax:

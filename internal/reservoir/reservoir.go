@@ -7,6 +7,8 @@ package reservoir
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -49,13 +51,22 @@ func (it *Item) InvWeight() float64 { return it.invW }
 type Reservoir struct {
 	capacity int
 	heap     []*Item
-	// rows is the pool of adjacency lists: one row per vertex that currently
-	// has sampled edges, so the pool holds at most 2M rows however large the
-	// vertex IDs are. A vertex whose degree drops to zero hands its row back
-	// through freeRows with its backing arrays kept, so under churn a vertex
-	// coming back reuses a recycled row instead of reallocating its list.
-	rows     []adjList
+	// rows holds one header per vertex that currently has sampled edges, so
+	// the pool holds at most 2M rows however large the vertex IDs are. A
+	// vertex whose degree drops to zero hands its header back through
+	// freeRows; a free header has n = 0.
+	rows     []row
 	freeRows []uint32
+	// vs and its are the adjacency arena: two parallel slabs sharing one
+	// offset space, in which every row owns one block of a power-of-two
+	// class. Free blocks are chained per class through their first vs slot
+	// (1 + the next block's offset, 0 ending the chain), starting at
+	// freeHead[class]; freeSlots counts the slots they hold. See linkAt for
+	// how rows move between classes and compact for the fragmentation bound.
+	vs        []graph.VertexID
+	its       []*Item
+	freeHead  [33]uint32
+	freeSlots int
 	// adjIdx maps each vertex ID below maxMarkID — the same dense-ID
 	// assumption the mark array makes — to 1 + its row in the pool, 0 meaning
 	// degree zero: 4 bytes per ID, so a degree-0 lookup touches only this
@@ -89,10 +100,23 @@ type Reservoir struct {
 	markEpoch uint32
 }
 
-// adjList is one vertex's incident edges as two parallel slices sorted
-// ascending by neighbor ID (structure-of-arrays layout): the merge and
-// mark-walk loops scan the 4-byte IDs at full cache-line density and load the
-// corresponding *Item only on a match.
+// row is one vertex's adjacency header: its n entries sit at arena offsets
+// [off, off+n), sorted ascending by neighbor ID. The block behind them is
+// always of class blockClass(n), the smallest power of two that holds n, so
+// the header carries no capacity of its own.
+type row struct {
+	off, n uint32
+}
+
+// blockClass returns the class of the smallest power-of-two block that holds
+// n >= 1 entries: a class-c block has 1<<c slots.
+func blockClass(n uint32) int { return bits.Len32(n - 1) }
+
+// adjList is a view of one vertex's row in the arena: two parallel slices
+// sorted ascending by neighbor ID (structure-of-arrays layout), so the merge
+// and mark-walk loops scan the 4-byte IDs at full cache-line density and load
+// the corresponding *Item only on a match. A view is valid until the next
+// mutation of the reservoir.
 type adjList struct {
 	vs  []graph.VertexID
 	its []*Item
@@ -140,7 +164,8 @@ func (r *Reservoir) slot(u graph.VertexID) uint32 {
 // list returns u's adjacency list (empty for degree zero).
 func (r *Reservoir) list(u graph.VertexID) adjList {
 	if s := r.slot(u); s != 0 {
-		return r.rows[s-1]
+		h := r.rows[s-1]
+		return adjList{vs: r.vs[h.off : h.off+h.n], its: r.its[h.off : h.off+h.n]}
 	}
 	return adjList{}
 }
@@ -177,20 +202,17 @@ func (r *Reservoir) setSlot(u graph.VertexID, s uint32) {
 	r.adjIdx[u] = s
 }
 
-// rowFor returns u's pool row, claiming one for a vertex of degree zero: a
-// recycled row (emptied, backing arrays kept) when available, else a fresh
-// one with small pre-sized arrays — the parallel slices double in lockstep,
-// so starting at a few entries halves the number of growth reallocations a
-// filling vertex pays compared to growing from nil. The pointer is valid
+// rowFor returns u's row header, claiming one (recycled if possible) with
+// n = 0 and no block yet for a vertex of degree zero. The pointer is valid
 // until the next rowFor.
-func (r *Reservoir) rowFor(u graph.VertexID) *adjList {
+func (r *Reservoir) rowFor(u graph.VertexID) *row {
 	s := r.slot(u)
 	if s == 0 {
 		if n := len(r.freeRows); n > 0 {
 			s = r.freeRows[n-1]
 			r.freeRows = r.freeRows[:n-1]
 		} else {
-			r.rows = append(r.rows, adjList{vs: make([]graph.VertexID, 0, 8), its: make([]*Item, 0, 8)})
+			r.rows = append(r.rows, row{})
 			s = uint32(len(r.rows))
 		}
 		r.setSlot(u, s)
@@ -198,16 +220,139 @@ func (r *Reservoir) rowFor(u graph.VertexID) *adjList {
 	return &r.rows[s-1]
 }
 
+// allocBlock returns the offset of a free block of class c: the head of the
+// class's free list, or fresh slots at the arena's end. When the slabs are
+// full and a sixteenth of the arena sits in stranded free blocks, it compacts
+// instead of growing, so the slabs' capacity tracks the live blocks rather
+// than the fragmentation; callers read their row's offset after the call.
+func (r *Reservoir) allocBlock(c int) uint32 {
+	if head := r.freeHead[c]; head != 0 {
+		off := head - 1
+		r.freeHead[c] = uint32(r.vs[off])
+		r.freeSlots -= 1 << c
+		return off
+	}
+	off, size := len(r.vs), 1<<c
+	if off+size > cap(r.vs) {
+		if r.freeSlots > 0 && r.freeSlots >= off/16 {
+			r.compactNow()
+			off = len(r.vs)
+		}
+		if off+size > cap(r.vs) {
+			r.growSlabs(size)
+		}
+	}
+	r.vs = r.vs[:off+size]
+	r.its = r.its[:off+size]
+	return uint32(off)
+}
+
+// growSlabs reallocates both slabs with room for at least need more slots.
+// The first growth sizes them for a full sample's 2M entries; rows rounded
+// up to their block class and stranded free blocks grow them by a quarter at
+// a time after that.
+func (r *Reservoir) growSlabs(need int) {
+	n := len(r.vs)
+	if n+need > math.MaxUint32 {
+		panic("reservoir: adjacency arena exceeds 2^32 slots")
+	}
+	grown := max(n+need, n+n/4, 2*r.capacity)
+	vs := make([]graph.VertexID, n, grown)
+	its := make([]*Item, n, grown)
+	copy(vs, r.vs)
+	copy(its, r.its)
+	r.vs, r.its = vs, its
+}
+
+// freeBlock pushes the class-c block at off onto its free list. Its item
+// slots are cleared, so the arena pins no recycled Items, except the first,
+// which holds the class's freeMark so compact can step over the block.
+func (r *Reservoir) freeBlock(off uint32, c int) {
+	if c > 0 {
+		clear(r.its[off+1 : off+1<<c])
+	}
+	r.its[off] = &freeMark[c]
+	r.vs[off] = graph.VertexID(r.freeHead[c])
+	r.freeHead[c] = off + 1
+	r.freeSlots += 1 << c
+}
+
+// freeMark[c] is the sentinel in the first its slot of every free class-c
+// block: its heapIdx, -1-c, tells the block from a live row's first entry,
+// whose item always has a heap index >= 0.
+var freeMark = func() (m [33]Item) {
+	for c := range m {
+		m[c].heapIdx = -1 - c
+	}
+	return m
+}()
+
+// compactSlack is the number of free arena slots compact tolerates beyond
+// the fragmentation bound, so small reservoirs do not compact on every
+// handful of frees.
+const compactSlack = 64
+
+// compact bounds the arena's fragmentation. Blocks are never split or
+// merged, so a vertex that grows and drains, or a mass deletion, can strand
+// free blocks of classes no row needs. Once free slots exceed the live
+// entries (2 per stored item) by more than compactSlack, compact walks the
+// arena block by block — a free block is known by its freeMark, a live one
+// leads through its first entry to its owner's header — and slides every
+// live block down over the gaps, in place. A live block is under twice its
+// row's length, so the arena holds fewer than 3 slots per live entry plus
+// compactSlack, and a compaction costs no more than the frees that
+// triggered it. The slabs keep their capacity, so a refill after a mass
+// deletion allocates nothing.
+func (r *Reservoir) compact() {
+	if r.freeSlots > 2*len(r.heap)+compactSlack {
+		r.compactNow()
+	}
+}
+
+// compactNow slides every live block down over the free ones; see compact.
+func (r *Reservoir) compactNow() {
+	at := uint32(0)
+	for off := uint32(0); off < uint32(len(r.vs)); {
+		if first := r.its[off]; first.heapIdx < 0 {
+			off += 1 << (-1 - first.heapIdx)
+			continue
+		}
+		h := &r.rows[r.slot(rowOwner(r.vs[off], r.its[off]))-1]
+		size := uint32(1) << blockClass(h.n)
+		if at != off {
+			copy(r.vs[at:at+h.n], r.vs[off:off+h.n])
+			copy(r.its[at:at+h.n], r.its[off:off+h.n])
+			clear(r.its[at+h.n : at+size])
+			h.off = at
+		}
+		at += size
+		off += size
+	}
+	clear(r.its[at:])
+	r.vs, r.its = r.vs[:at], r.its[:at]
+	r.freeHead = [len(r.freeHead)]uint32{}
+	r.freeSlots = 0
+}
+
+// rowOwner returns the vertex whose row holds the entry (v, it): the edge's
+// other endpoint.
+func rowOwner(v graph.VertexID, it *Item) graph.VertexID {
+	if it.Edge.U == v {
+		return it.Edge.V
+	}
+	return it.Edge.U
+}
+
 // forEachList calls fn for every vertex that currently has incident edges.
 // Diagnostic/test helper, not a hot path.
 func (r *Reservoir) forEachList(fn func(u graph.VertexID, l adjList)) {
 	for u, s := range r.adjIdx {
 		if s != 0 {
-			fn(graph.VertexID(u), r.rows[s-1])
+			fn(graph.VertexID(u), r.list(graph.VertexID(u)))
 		}
 	}
-	for u, s := range r.adjFar {
-		fn(u, r.rows[s-1])
+	for u := range r.adjFar {
+		fn(u, r.list(u))
 	}
 }
 
@@ -376,19 +521,50 @@ func (r *Reservoir) linkAdj(it *Item) {
 		r.addTag(it.Edge.U, 1)
 		r.addTag(it.Edge.V, 1)
 	}
+	r.compact()
 }
 
-// linkAt inserts neighbor v (with its item) into u's sorted adjacency list,
-// shifting the tails of both parallel slices.
+// linkAt inserts neighbor v (with its item) into u's sorted row. A row whose
+// block is full (its length a power of two, or zero for a new row) moves to a
+// block of the next class, opening the gap during the copy; otherwise the
+// tail shifts up within the block.
 func (r *Reservoir) linkAt(u, v graph.VertexID, it *Item) {
-	l := r.rowFor(u)
-	i := searchAdj(l.vs, v)
-	l.vs = append(l.vs, 0)
-	copy(l.vs[i+1:], l.vs[i:])
-	l.vs[i] = v
-	l.its = append(l.its, nil)
-	copy(l.its[i+1:], l.its[i:])
-	l.its[i] = it
+	h := r.rowFor(u)
+	n := h.n
+	if n&(n-1) != 0 {
+		off := h.off
+		i := off + uint32(searchAdj(r.vs[off:off+n], v))
+		copy(r.vs[i+1:off+n+1], r.vs[i:off+n])
+		copy(r.its[i+1:off+n+1], r.its[i:off+n])
+		r.vs[i], r.its[i] = v, it
+		h.n = n + 1
+		return
+	}
+	// allocBlock may compact the arena, moving this row: read its offset
+	// after the call.
+	dst := r.allocBlock(blockClass(n + 1))
+	off := h.off
+	i := uint32(searchAdj(r.vs[off:off+n], v))
+	r.moveEntries(dst, off, i)
+	r.moveEntries(dst+i+1, off+i, n-i)
+	r.vs[dst+i], r.its[dst+i] = v, it
+	if n > 0 {
+		r.freeBlock(off, blockClass(n))
+	}
+	h.off, h.n = dst, n+1
+}
+
+// moveEntries copies n arena entries from offset src to offset dst, in
+// another block. It loops rather than calling copy: a moving row holds a
+// handful of entries on a sparse sample, where two runtime copy calls, one
+// of them a pointer copy with its write-barrier bookkeeping, cost more than
+// the move itself.
+func (r *Reservoir) moveEntries(dst, src, n uint32) {
+	vs, its := r.vs[dst:dst+n], r.its[dst:dst+n]
+	svs, sits := r.vs[src:src+n], r.its[src:src+n]
+	for k := range vs {
+		vs[k], its[k] = svs[k], sits[k]
+	}
 }
 
 func (r *Reservoir) unlinkAdj(it *Item) {
@@ -398,30 +574,51 @@ func (r *Reservoir) unlinkAdj(it *Item) {
 		r.addTag(it.Edge.U, -1)
 		r.addTag(it.Edge.V, -1)
 	}
+	r.compact()
 }
 
 // unlinkAt removes the entry for item it under neighbor ID v from u's sorted
-// adjacency list, shifting the tails down. A vertex left with degree zero
-// returns its row to the pool's free list.
+// row. A row whose new length is a power of two moves down to a block of
+// that class, closing the gap during the copy, so every block stays the
+// smallest class that holds its row; a row left empty returns its block and
+// its header to the free lists.
 func (r *Reservoir) unlinkAt(u, v graph.VertexID, it *Item) {
 	s := r.slot(u)
-	l := &r.rows[s-1]
-	i := searchAdj(l.vs, v)
-	// A self-loop stores two identical-key entries; advance to the one that
-	// holds this item.
-	for l.its[i] != it {
-		i++
-	}
-	copy(l.vs[i:], l.vs[i+1:])
-	copy(l.its[i:], l.its[i+1:])
-	last := len(l.vs) - 1
-	l.its[last] = nil
-	l.vs = l.vs[:last]
-	l.its = l.its[:last]
+	h := &r.rows[s-1]
+	n := h.n
+	last := n - 1
 	if last == 0 {
+		r.freeBlock(h.off, 0)
+		*h = row{}
 		r.freeRows = append(r.freeRows, s)
 		r.setSlot(u, 0)
+		return
 	}
+	var dst uint32
+	shrink := last&(last-1) == 0
+	if shrink {
+		// May compact the arena, moving this row; see linkAt.
+		dst = r.allocBlock(blockClass(last))
+	}
+	off := h.off
+	i := off + uint32(searchAdj(r.vs[off:off+n], v))
+	// A self-loop stores two identical-key entries; advance to the one that
+	// holds this item.
+	for r.its[i] != it {
+		i++
+	}
+	if !shrink {
+		copy(r.vs[i:off+last], r.vs[i+1:off+n])
+		copy(r.its[i:off+last], r.its[i+1:off+n])
+		r.its[off+last] = nil
+		h.n = last
+		return
+	}
+	i -= off
+	r.moveEntries(dst, off, i)
+	r.moveEntries(dst+i, off+i+1, last-i)
+	r.freeBlock(off, blockClass(n))
+	h.off, h.n = dst, last
 }
 
 func (r *Reservoir) swap(i, j int) {
@@ -471,11 +668,16 @@ func (r *Reservoir) HasEdge(u, v graph.VertexID) bool {
 }
 
 // Degree implements pattern.View over all stored items.
-func (r *Reservoir) Degree(u graph.VertexID) int { return len(r.list(u).vs) }
+func (r *Reservoir) Degree(u graph.VertexID) int {
+	if s := r.slot(u); s != 0 {
+		return int(r.rows[s-1].n)
+	}
+	return 0
+}
 
 // LiveDegree returns the number of non-DEL-tagged edges incident to u.
 func (r *Reservoir) LiveDegree(u graph.VertexID) int {
-	return len(r.list(u).vs) - r.tagged[u]
+	return r.Degree(u) - r.tagged[u]
 }
 
 // ForEachNeighbor implements pattern.View over all stored items. Iteration is
