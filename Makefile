@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check race docs-check bench-selftest cluster-smoke wal-smoke partition-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
+.PHONY: build test vet fmt check race docs-check bench-selftest fleet-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
 
 build:
 	$(GO) build ./...
@@ -35,30 +35,22 @@ bench-selftest:
 docs-check: fmt vet
 	$(GO) run ./cmd/docslint -root .
 
-# The cluster layer end to end under the race detector: coordinator vs
-# equal-budget in-process ensemble, snapshot->restore, degraded reads.
-cluster-smoke:
-	$(GO) test -race -run 'Cluster|Coordinator|Degraded' ./internal/cluster/ ./internal/serve/
-	$(GO) test -race ./internal/combine/
-
-# The durability layer under the race detector: the write-ahead log's unit,
-# property, and alloc guards, plus the fault-injection suite (worker killed
-# mid-stream and restarted empty must rejoin bit-identically via log replay;
-# coordinator crash over a torn frame must recover), then a short fuzz pass
-# over segment recovery.
-wal-smoke:
-	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'WAL|CatchUp|Torn|Retention|Lagging|LogMode|RestoreSeeds' ./internal/cluster/ ./internal/serve/
+# The fleet under the race detector. Every coordinator mode (broadcast,
+# broadcast + WAL, partitioned, partitioned + WAL) runs one ingest path —
+# route, log, stamped send, ack — so one target covers them all: coordinator
+# vs equal-budget in-process ensemble and routed partitions vs bit-identical
+# in-process references, snapshot->restore, degraded reads, the
+# fault-injection suites (worker killed mid-stream and restarted empty must
+# rejoin bit-identically via log replay, coordinator crash over a torn frame
+# must recover, duplicated delivery and apply-then-lost response must never
+# double-apply, a short apply is never acked), stamped-ingest dedup on the
+# worker, the write-ahead log's unit/property/alloc guards, the
+# ownership/Beta suite and the combiners, then a short fuzz pass over
+# segment recovery.
+fleet-smoke:
+	$(GO) test -race -run 'Cluster|Coordinator|Degraded|WAL|CatchUp|Torn|Retention|Lagging|LogMode|RestoreSeeds|Partition|SumCombine|AckAmbiguity|Idempotent|FlagConflict' ./internal/cluster/ ./internal/serve/ ./cmd/wsdserve/
+	$(GO) test -race ./internal/wal/ ./internal/partition/ ./internal/combine/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentDecode -fuzztime 30s ./internal/wal/
-
-# Partitioned ingest and replay idempotence under the race detector: routed
-# partitions vs bit-identical in-process references, per-partition log replay
-# and snapshot restore, the ack-ambiguity fault injections (duplicated
-# delivery, apply-then-lost response), stamped-ingest dedup on the worker,
-# and the ownership/Beta unit suite plus the sum combiner.
-partition-smoke:
-	$(GO) test -race -run 'Partition|SumCombine|AckAmbiguity|Idempotent|Retention|FlagConflict' ./internal/cluster/ ./internal/serve/ ./cmd/wsdserve/
-	$(GO) test -race ./internal/partition/ ./internal/combine/
 
 # The enumeration layer under the race detector: the differential
 # property/fuzz suite (the mark-array/merge clique intersection must emit

@@ -63,7 +63,7 @@ func main() {
 	fullBudget := flag.Bool("full-budget", false, "give every shard the full budget m (uses shards x memory, 1/shards variance)")
 	mom := flag.Int("mom", 0, "median-of-means groups for the combined estimate (0 = plain mean); in coordinator mode, groups over worker estimates")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: restored on start if it exists, written on SIGINT/SIGTERM (a cluster blob in coordinator mode)")
-	walDir := flag.String("wal-dir", "", "coordinator mode: write-ahead log directory; every broadcast is logged before fan-out and lagging workers are healed by replay (empty = no log; with -partition, holds one p<N> log per partition)")
+	walDir := flag.String("wal-dir", "", "coordinator mode: write-ahead log directory; every batch is logged before fan-out and lagging workers are healed by replay (empty = no log; with -partition, holds one p<N> log per partition)")
 	walSegmentBytes := flag.Int64("wal-segment-bytes", 64<<20, "coordinator mode: write-ahead log segment rotation size in bytes")
 	part := flag.Bool("partition", false, "coordinator mode: route each edge to the workers owning its endpoints instead of broadcasting (ingest scales with the fleet); workers must run with matching -partition-index/-partition-count")
 	partIndex := flag.Int("partition-index", -1, "single mode: this worker's partition slot under a partitioned coordinator (0-based fleet index; set with -partition-count)")
@@ -181,8 +181,8 @@ func main() {
 			// Re-align the fleet against the reopened log(s) before serving
 			// (after any checkpoint restore): a coordinator restart loses its
 			// in-memory ack table, and a lagging worker heals right here
-			// instead of at the first broadcast. Failures are retried
-			// automatically at each broadcast; just report them.
+			// instead of at the first ingest. Failures are retried
+			// automatically at each ingest; just report them.
 			booted = func() {
 				if err := coord.Cluster().CatchUp(); err != nil {
 					log.Printf("wsdserve: catch-up: %v", err)
@@ -242,15 +242,19 @@ func main() {
 }
 
 // The server's fixed timeouts. A client that has not sent its whole request
-// header within readHeaderTimeout, or leaves a keep-alive connection idle for
+// header within readHeaderTimeout, has not sent its whole request (header and
+// body) within readTimeout, or leaves a keep-alive connection idle for
 // idleTimeout, is disconnected, so slow or stalled clients cannot hold
-// connections open indefinitely. idleTimeout exceeds the 90 s after which the
-// coordinator's client drops its own idle connections to workers, so the
-// coordinator, not the worker, ends an idle fleet connection. There is no
-// read or write timeout on the whole request: an /ingest body or a cluster
-// snapshot may legitimately take long. Tests shorten the values.
+// connections open indefinitely. readTimeout fits the largest accepted body
+// (MaxBodyBytes, 64 MiB = 537 Mbit) at 5 Mbit/s: 107 s, plus a header sent
+// within readHeaderTimeout, is under 120 s. idleTimeout exceeds the 90 s
+// after which the coordinator's client drops its own idle connections to
+// workers, so the coordinator, not the worker, ends an idle fleet
+// connection. There is no write timeout: a cluster snapshot may
+// legitimately take long. Tests shorten the values.
 var (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 120 * time.Second
 	idleTimeout       = 120 * time.Second
 )
 
@@ -260,6 +264,7 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 		Addr:              addr,
 		Handler:           handler,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -18,6 +18,8 @@ import (
 func TestServerDropsSlowClients(t *testing.T) {
 	defer func(h, i time.Duration) { readHeaderTimeout, idleTimeout = h, i }(readHeaderTimeout, idleTimeout)
 	readHeaderTimeout, idleTimeout = 200*time.Millisecond, 300*time.Millisecond
+	defer func(r time.Duration) { readTimeout = r }(readTimeout)
+	readTimeout = 400 * time.Millisecond
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -79,4 +81,33 @@ func TestServerDropsSlowClients(t *testing.T) {
 		t.Fatalf("complete request: status %d", resp.StatusCode)
 	}
 	waitClosed(idle, br, idleTimeout/2, "idle keep-alive connection")
+
+	// A client that sends a whole header promptly, then trickles its body a
+	// byte at a time, is cut off once the whole-request timeout passes.
+	trickle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trickle.Close()
+	if _, err := io.WriteString(trickle, "POST /ingest HTTP/1.1\r\nHost: wsd\r\nContent-Length: 100000\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-stopped }()
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := trickle.Write([]byte{'+'}); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	waitClosed(trickle, trickle, readTimeout/2, "body trickled a byte at a time")
 }

@@ -1,5 +1,5 @@
 // Package cluster distributes the shard ensemble across worker nodes: a
-// coordinator that broadcasts event batches to N remote wsdserve workers —
+// coordinator that routes event batches to N remote wsdserve workers —
 // each itself a sharded counter — and serves scatter/gather reads by
 // collecting the workers' estimates and combining them with the same
 // unit-tested math (internal/combine) the in-process ensemble uses.
@@ -15,53 +15,60 @@
 // process — the cluster layer buys horizontal memory and CPU, not a
 // different estimator.
 //
-// Consistency model. A worker is *consistent* while it has applied every
-// broadcast since the cluster's start (or its last successful cluster
-// restore). A worker that misses a broadcast — network error, crash, 5xx —
-// is marked inconsistent and excluded from ingest and reads: its counter no
-// longer summarizes the full stream, and an estimator over a prefix of the
-// stream is not an unbiased estimator of the present graph. Inconsistent
-// workers rejoin only through Restore, which resets every worker to one
-// cluster-wide snapshot. Reads additionally tolerate transient
-// unreachability: a consistent worker that fails one gather is skipped for
-// that read (and stays consistent — its state is intact). Every read reports
-// how many workers answered and whether the configured quorum was met, so a
-// degraded cluster serves, visibly, from the survivors.
+// One ingest path serves every mode. Under one lock (so every worker sees
+// its stream in one global order) each batch goes through four steps:
 //
-// Durability (Config.Log). With a write-ahead log attached, the model above
-// gains a second, cheaper healing path. Every broadcast is appended to the
-// log — canonicalized into the binary wire format, durable before any worker
-// sees it — and the coordinator tracks each worker's acknowledged log
-// position. A worker that misses a broadcast is marked *lagging*, not
-// inconsistent: its state is a correct prefix of the stream, so the
-// coordinator heals it by replaying the log tail from its last ack — at the
-// next broadcast (with backoff), on CatchUp, or after a Restore — and the
-// sampling estimators' determinism (the TRIEST-FD lineage is defined over the
-// ordered stream) makes the healed worker bit-identical to one that never
-// failed. Retention truncates the log below the fleet's minimum ack, so a
-// lagging worker's tail is retained until it catches up. Only a worker whose
-// reported position aligns with no logged frame boundary — restarted empty
-// after retention passed its data, or fed out of band — is inconsistent in
-// the old sense and needs a snapshot Restore, after which the blob's recorded
-// log position lets replay finish the job ("restore from blob + log replay").
+//   - Route: split the batch into shares, one per routing slot.
+//   - Log: append each share to its slot's write-ahead log, durable before
+//     any worker sees it.
+//   - Stamped send: deliver each worker its share, encoded once, stamped
+//     with the share's stream position when it is logged (so duplicates and
+//     replays are idempotent on the worker).
+//   - Ack: a worker that provably applied its whole share is acknowledged
+//     at the log end; one that did not is marked lagging when its share is
+//     logged, inconsistent when it is not.
 //
-// Partitioned mode (Config.Partitioned). Broadcast buys variance reduction
-// but zero ingest scaling — every worker applies every event. Partitioned
-// mode routes instead: each edge goes to the owner(s) of its endpoints
-// (internal/partition — a fixed vertex hash), so worker k samples only its
-// share of the stream and the fleet's ingest scales with N. Estimates
-// compose by summation (combine.Sum): each worker weighs every contribution
-// by the fraction of the completing edge's endpoints it owns, and the
-// coordinator divides the summed per-pattern estimates by the pattern's
-// expected visibility partition.Beta, keeping the total unbiased (see
-// internal/partition for the argument). Reads need the *whole* fleet — a
-// missing partition is a missing share of the count, not a lost vote — so
-// the quorum is pinned to the fleet size and there are no degraded reads.
-// The consistency model generalizes per partition: with Config.Logs, worker
-// k's substream is appended to log k before delivery, every delivery is
-// stamped with its substream position (so replays are idempotent), and
-// catch-up, retention, and restore-from-blob+tail-replay all run per
-// partition exactly as the broadcast log runs fleet-wide.
+// Two configuration choices set the parameters of those steps:
+//
+//   - Routing (Config.Partitioned). Broadcast mode has one slot: every
+//     worker gets the whole batch and estimates compose with Config.Combiner.
+//     Partitioned mode has one slot per worker: each edge goes to the
+//     owner(s) of its endpoints (internal/partition — a fixed vertex hash),
+//     so the fleet's ingest scales with N. Each worker weighs every
+//     contribution by the fraction of the completing edge's endpoints it
+//     owns, and the coordinator divides the summed estimates (combine.Sum) by
+//     the pattern's expected visibility partition.Beta, keeping the total
+//     unbiased. A missing partition is a missing share of the count, not a
+//     lost vote, so the quorum is pinned to the fleet size.
+//   - Durability (Config.Log in broadcast mode, Config.Logs — one per
+//     partition — in partitioned mode). Without a log, the share is not
+//     logged, the send is unstamped, and a missed delivery is permanent.
+//
+// Consistency model. A worker is *consistent* while its state provably
+// summarizes its stream: every share routed to it since the cluster's start
+// (or its last successful cluster restore), applied in order. Without a log,
+// a worker that misses a share — network error, crash, 5xx, a short apply —
+// is marked inconsistent and excluded from ingest and reads, because an
+// estimator over a prefix of the stream is not an unbiased estimator of the
+// present graph; it rejoins only through Restore, which resets every worker
+// to one cluster-wide snapshot. With a log, the same miss marks the worker
+// *lagging*: its state is a correct prefix, so the coordinator heals it by
+// replaying its log from its last ack — at the next submit (with backoff),
+// on CatchUp, or after a Restore — and the estimators' determinism (the
+// TRIEST-FD lineage is defined over the ordered stream) makes the healed
+// worker bit-identical to one that never failed. Retention truncates each
+// log below the minimum ack of its workers, so a lagging worker's tail is
+// retained until it catches up. Only a worker whose reported position aligns
+// with no logged frame boundary — restarted empty after retention passed its
+// data, or fed out of band — is inconsistent and needs a snapshot Restore,
+// after which the blob's recorded log positions let replay finish the job
+// ("restore from blob + log replay").
+//
+// Reads tolerate transient unreachability: a consistent worker that fails
+// one gather is skipped for that read (and stays consistent — its state is
+// intact). Every read reports how many workers answered and whether the
+// configured quorum was met, so a degraded broadcast fleet serves, visibly,
+// from the survivors.
 package cluster
 
 import (
@@ -71,6 +78,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -99,7 +107,7 @@ type Config struct {
 	Combiner combine.Func
 	// Quorum is the minimum number of workers that must answer for a read to
 	// be served; values < 1 default to a majority (workers/2 + 1). Ingest
-	// applies the same bar: a broadcast that lands on fewer than Quorum
+	// applies the same bar: a submit that lands on fewer than Quorum
 	// workers is reported as an error (the events that did land stay
 	// applied — single-pass streams cannot be unapplied).
 	Quorum int
@@ -109,8 +117,8 @@ type Config struct {
 	// client with Timeout applied is built; when set, Timeout is ignored and
 	// the supplied client's own limits govern.
 	Client *http.Client
-	// Log, when non-nil, is the write-ahead log every broadcast is appended
-	// to before fan-out, enabling per-worker catch-up by replay (see the
+	// Log, when non-nil, is the write-ahead log every batch is appended to
+	// before fan-out, enabling per-worker catch-up by replay (see the
 	// durability notes in the package comment). The coordinator takes
 	// ownership: position tracking, retention truncation, and snapshot
 	// positioning all run through it. Broadcast mode only; partitioned
@@ -132,10 +140,10 @@ type Config struct {
 	Logs []*wal.Log
 }
 
-// ErrBadStream wraps a body every worker rejected as unparsable: a client
-// error, not a cluster failure. No worker applied any of it (workers
-// validate a whole body before applying), so the cluster stays consistent.
-var ErrBadStream = errors.New("cluster: stream body rejected by workers")
+// ErrBadStream wraps an ingest body the coordinator could not decode: a
+// client error, not a cluster failure. The body is decoded whole before any
+// worker sees it, so nothing was applied and the cluster stays consistent.
+var ErrBadStream = errors.New("cluster: stream body rejected")
 
 // ErrNoQuorum is returned when fewer consistent workers than the configured
 // quorum are available to serve a request.
@@ -155,11 +163,11 @@ var ErrPartialSwap = errors.New("cluster: policy swap incomplete")
 // ErrCatchUpIncomplete wraps a CatchUp (or post-restore replay) that left
 // some worker behind the log end: unreachable, mid-replay failure, or
 // inconsistent. Lagging workers are retried automatically at the next
-// broadcast; an inconsistent worker needs a snapshot Restore.
+// submit; an inconsistent worker needs a snapshot Restore.
 var ErrCatchUpIncomplete = errors.New("cluster: catch-up incomplete")
 
 // catchUpBackoff spaces automatic catch-up attempts per worker, so a worker
-// that is down does not cost every broadcast a probe round trip.
+// that is down does not cost every submit a probe round trip.
 const catchUpBackoff = 2 * time.Second
 
 // workerRef is one worker endpoint plus its consistency and catch-up state.
@@ -168,13 +176,12 @@ type workerRef struct {
 	// idx is the worker's fleet slot — in partitioned mode, the partition it
 	// owns and the index of its write-ahead log.
 	idx int
-	// inconsistent is set when the worker misses a broadcast (no-log mode) or
-	// when its reported position aligns with no logged frame (log mode); a
-	// successful cluster Restore — or, in log mode, a probe that re-aligns —
-	// clears it.
+	// inconsistent is set when the worker misses an unlogged share or when
+	// its reported position aligns with no logged frame; a successful cluster
+	// Restore — or, in log mode, a probe that re-aligns — clears it.
 	inconsistent atomic.Bool
-	// lagging (log mode only) is set when the worker misses a broadcast whose
-	// frames are on the log: its state is a stream prefix and replay heals it.
+	// lagging (log mode only) is set when the worker misses a share whose
+	// frames are on its log: its state is a stream prefix and replay heals it.
 	lagging atomic.Bool
 	// acked/ackedEvents are the newest log position (frame index / cumulative
 	// events) the worker has provably applied. The fleet minimum of acked
@@ -182,11 +189,11 @@ type workerRef struct {
 	acked       atomic.Uint64
 	ackedEvents atomic.Int64
 	// lastCatchUp is the unix-nano time of the last catch-up attempt,
-	// implementing the broadcast-path backoff.
+	// implementing the submit-path backoff.
 	lastCatchUp atomic.Int64
 }
 
-// Coordinator fans ingested batches out to every worker and gathers their
+// Coordinator routes ingested batches to the workers and gathers their
 // estimates into one combined read. Construct with New; the zero value is
 // not usable. Safe for concurrent use.
 type Coordinator struct {
@@ -197,42 +204,56 @@ type Coordinator struct {
 
 	// mu guards the ingest/read side against Restore the same way
 	// serve.Server does: requests hold the read lock, Restore the write
-	// lock, so a restore never interleaves with a broadcast.
+	// lock, so a restore never interleaves with a submit.
 	mu sync.RWMutex
 
-	// bcastMu serializes broadcasts, the cross-process analogue of the shard
+	// bcastMu serializes submits, the cross-process analogue of the shard
 	// ensemble holding its lock across the per-shard sends: without it, two
 	// concurrent ingests could land on different workers in different
 	// orders, and an insert/delete pair applied in opposite orders leaves
 	// workers summarizing different graphs while still marked consistent.
 	// Snapshot also takes it, so a cluster blob can never interleave with a
-	// broadcast and capture workers at different stream positions.
+	// submit and capture workers at different stream positions. It guards
+	// the reused shares and replayBuf too.
 	bcastMu sync.Mutex
 
-	// encMu serializes access to the reused binary-encode buffer on the
-	// programmatic submit path.
-	encMu  sync.Mutex
-	encBuf bytes.Buffer
+	// partitioned selects the routing: one slot for the whole fleet, or one
+	// per worker. wals holds one write-ahead log per slot (nil without
+	// durability): Config.Log in broadcast mode, Config.Logs in partitioned
+	// mode. shares are the reused per-slot routing and encode buffers, and
+	// replayBuf the reused catch-up body buffer.
+	partitioned bool
+	wals        []*wal.Log
+	shares      []share
+	replayBuf   []byte
 
-	// log is the optional write-ahead log (Config.Log); replayBuf is the
-	// reused catch-up body buffer, guarded by bcastMu (every replay runs
-	// under it).
-	log       *wal.Log
-	replayBuf []byte
-
-	// decMu serializes the reused ingest-body decode buffer (log mode:
-	// IngestBytes canonicalizes the body before logging it).
+	// decMu serializes the reused ingest-body decode buffer.
 	decMu  sync.Mutex
 	decBuf []stream.Event
+}
 
-	// Partitioned mode: logs are the per-partition write-ahead logs (nil
-	// without durability), routeBufs the reused per-worker routing buffers
-	// and partBufs the reused per-worker encode buffers (both guarded by
-	// encMu, like encBuf).
-	partitioned bool
-	logs        []*wal.Log
-	routeBufs   [][]stream.Event
-	partBufs    []bytes.Buffer
+// share is one routing slot's part of the batch being submitted: its
+// events, their reused wire body and frame-payload scratch, the stream
+// position of its first event on its log (-1 when the slot has no log), and
+// the log end after the append.
+type share struct {
+	evs           []stream.Event
+	body, payload []byte
+	stamp         int64
+	end           WALMark
+}
+
+// encode canonicalizes the share into one binary wire body: the stream
+// header, then frames of at most stream.MaxFrameEvents events — the
+// boundaries appendFrames logs, so a logged frame and a delivered frame are
+// always the same bytes.
+func (sh *share) encode() {
+	sh.body = stream.AppendBinaryHeader(sh.body[:0])
+	for lo := 0; lo < len(sh.evs); lo += stream.MaxFrameEvents {
+		sh.payload = stream.AppendFramePayload(sh.payload[:0], sh.evs[lo:min(lo+stream.MaxFrameEvents, len(sh.evs))])
+		sh.body = binary.AppendUvarint(sh.body, uint64(len(sh.payload)))
+		sh.body = append(sh.body, sh.payload...)
+	}
 }
 
 // New validates the worker list and returns a coordinator. The workers are
@@ -303,39 +324,37 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		client = &http.Client{Timeout: timeout}
 	}
-	c := &Coordinator{workers: refs, comb: comb, quorum: quorum, client: client, log: cfg.Log,
-		partitioned: cfg.Partitioned, logs: cfg.Logs}
+	slots, wals := 1, cfg.Logs
 	if cfg.Partitioned {
-		c.routeBufs = make([][]stream.Event, len(refs))
-		c.partBufs = make([]bytes.Buffer, len(refs))
+		slots = len(refs)
+	} else if cfg.Log != nil {
+		wals = []*wal.Log{cfg.Log}
 	}
-	return c, nil
+	return &Coordinator{workers: refs, comb: comb, quorum: quorum, client: client,
+		partitioned: cfg.Partitioned, wals: wals, shares: make([]share, slots)}, nil
 }
 
 // Partitioned reports whether the coordinator routes by partition instead of
 // broadcasting.
 func (c *Coordinator) Partitioned() bool { return c.partitioned }
 
-// hasWAL reports whether the coordinator has write-ahead durability: one
-// fleet-wide log in broadcast mode, one log per partition in partitioned
-// mode.
-func (c *Coordinator) hasWAL() bool {
+// slot is the routing slot worker w receives its share from: the one fleet
+// slot in broadcast mode, its partition otherwise.
+func (c *Coordinator) slot(w *workerRef) int {
 	if c.partitioned {
-		return c.logs != nil
+		return w.idx
 	}
-	return c.log != nil
+	return 0
 }
 
-// walFor resolves the write-ahead log that records worker w's stream: the
-// shared log in broadcast mode, the worker's own partition log otherwise.
+// walFor resolves the write-ahead log that records worker w's stream (nil
+// without durability): the shared log in broadcast mode, the worker's own
+// partition log otherwise.
 func (c *Coordinator) walFor(w *workerRef) *wal.Log {
-	if c.partitioned {
-		if c.logs == nil {
-			return nil
-		}
-		return c.logs[w.idx]
+	if c.wals == nil {
+		return nil
 	}
-	return c.log
+	return c.wals[c.slot(w)]
 }
 
 // NormalizeWorkerURL canonicalizes a worker address: trims whitespace and
@@ -360,7 +379,7 @@ func (c *Coordinator) Workers() int { return len(c.workers) }
 // Quorum returns the minimum worker count required to serve.
 func (c *Coordinator) Quorum() int { return c.quorum }
 
-// eligible returns the workers currently eligible for broadcast and gather:
+// eligible returns the workers currently eligible for delivery and gather:
 // consistent and (in log mode) not lagging — a lagging worker's estimate
 // summarizes a stream prefix and must not enter a combined read until replay
 // catches it up.
@@ -407,16 +426,7 @@ func (e *statusError) client() bool { return e.code >= 400 && e.code < 500 }
 // post sends body to worker path and decodes a JSON reply into out (when
 // non-nil).
 func (c *Coordinator) post(w *workerRef, path string, body []byte, out any) error {
-	return c.postStamped(w, path, body, -1, out)
-}
-
-// postStamped is post with an optional stream-position stamp (pos >= 0): the
-// header declares the absolute position of the body's first event, making
-// the delivery idempotent on the worker — a duplicate (a replay racing the
-// original request, or a retry of a request that applied but whose response
-// was lost) is skipped and reported back instead of double-applied.
-func (c *Coordinator) postStamped(w *workerRef, path string, body []byte, pos int64, out any) error {
-	return c.send(http.MethodPost, w, path, body, pos, out)
+	return c.send(http.MethodPost, w, path, body, -1, out)
 }
 
 // put sends body to worker path with the PUT method (replacement semantics:
@@ -425,6 +435,12 @@ func (c *Coordinator) put(w *workerRef, path string, body []byte, out any) error
 	return c.send(http.MethodPut, w, path, body, -1, out)
 }
 
+// send issues one worker request with an optional stream-position stamp (pos
+// >= 0): the header declares the absolute position of the body's first
+// event, making the delivery idempotent on the worker — a duplicate (a replay
+// racing the original request, or a retry of a request that applied but
+// whose response was lost) is skipped and reported back instead of
+// double-applied.
 func (c *Coordinator) send(method string, w *workerRef, path string, body []byte, pos int64, out any) error {
 	req, err := http.NewRequest(method, w.url+path, bytes.NewReader(body))
 	if err != nil {
@@ -471,50 +487,32 @@ func (c *Coordinator) get(w *workerRef, path string) ([]byte, error) {
 	return raw, nil
 }
 
-// IngestResult reports how a broadcast (or partitioned submit) landed.
+// IngestResult reports how a submit landed.
 type IngestResult struct {
-	// Accepted is the event count each applying worker reported (broadcast
-	// mode — every worker receives the whole batch) or the batch's event
-	// count (partitioned mode — the batch is split across workers).
+	// Accepted is the batch's event count; every applying worker applied its
+	// whole share of it.
 	Accepted int `json:"accepted"`
-	// Applied is how many workers applied the batch (partitioned mode: their
-	// share of it, possibly empty).
+	// Applied is how many workers applied their share of the batch (in
+	// partitioned mode possibly an empty one).
 	Applied int `json:"applied"`
 	// Workers is the configured fleet size.
 	Workers int `json:"workers"`
 }
 
-// IngestBytes broadcasts one request body — text or binary stream format, as
-// accepted by the workers' /ingest — to every consistent worker. The same
-// bytes go to every worker (no re-encode, no per-worker copy). Workers that
-// fail to apply are marked inconsistent and excluded until the next Restore.
-//
-// If every worker rejects the body as unparsable (4xx), no worker applied
-// any of it and the error wraps ErrBadStream: the cluster is intact and the
-// client should fix its stream. If fewer than the quorum applied, the error
-// wraps ErrNoQuorum.
+// IngestBytes decodes one request body — text or binary stream format, as
+// accepted by the workers' /ingest — and submits its events. The body is
+// decoded whole before any worker sees it: a parse error anywhere rejects it
+// with an error wrapping ErrBadStream, exactly the workers' own
+// all-or-nothing validation, without N wasted round trips. If fewer than the
+// quorum applied, the error wraps ErrNoQuorum.
 func (c *Coordinator) IngestBytes(raw []byte) (IngestResult, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if !c.partitioned && c.log == nil {
-		return c.broadcast(raw)
-	}
-	// Log and partitioned modes canonicalize before anything touches a
-	// worker: the body is decoded whole (a parse error anywhere rejects it,
-	// exactly the workers' own all-or-nothing validation, without N wasted
-	// round trips) and re-framed, so the frames appended to a log and the
-	// frames delivered are identical by construction — and a partitioned
-	// coordinator needs the events regardless, to route them.
 	c.decMu.Lock()
 	defer c.decMu.Unlock()
 	evs, err := c.decodeBody(raw)
 	if err != nil {
 		return IngestResult{Workers: len(c.workers)}, fmt.Errorf("%w: %v", ErrBadStream, err)
 	}
-	if c.partitioned {
-		return c.submitPartitioned(evs)
-	}
-	return c.submitLogged(evs)
+	return c.submit(evs)
 }
 
 // decodeBody parses an ingest body (text or binary, sniffed like the
@@ -541,255 +539,183 @@ func (c *Coordinator) decodeBody(raw []byte) ([]stream.Event, error) {
 	}
 }
 
-// broadcast is IngestBytes under a held read lock, shared with the
-// programmatic submit path. It owns bcastMu for the whole fan-out, so every
-// worker applies batches in one global order and snapshots never tear.
-func (c *Coordinator) broadcast(raw []byte) (IngestResult, error) {
-	c.bcastMu.Lock()
-	defer c.bcastMu.Unlock()
-	res := IngestResult{Workers: len(c.workers)}
-	live := c.eligible()
-	if len(live) < c.quorum {
-		return res, fmt.Errorf("%w: %d consistent of %d (need %d)", ErrNoQuorum, len(live), len(c.workers), c.quorum)
-	}
-	accepted := make([]int, len(live))
-	errs := fanout(live, func(i int, w *workerRef) error {
-		var reply struct {
-			Accepted int `json:"accepted"`
-		}
-		if err := c.post(w, "/ingest", raw, &reply); err != nil {
-			return err
-		}
-		accepted[i] = reply.Accepted
-		return nil
-	})
-	var (
-		firstErr error
-		clientRejects,
-		applied int
-	)
-	for i, err := range errs {
-		if err == nil {
-			applied++
-			continue
-		}
-		var se *statusError
-		if errors.As(err, &se) && se.client() {
-			clientRejects++
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("worker %s: %w", live[i].url, err)
-		}
-	}
-	if applied == 0 && clientRejects > 0 {
-		// Nothing was applied anywhere and at least one worker validated
-		// the body whole and rejected it: the body is bad, not the fleet.
-		// Workers that did not respond cannot have applied it either — the
-		// same bytes fail the same validation (the fleet is uniform) — so
-		// nobody is marked inconsistent and the client gets its error back.
-		return res, fmt.Errorf("%w: %v", ErrBadStream, firstErr)
-	}
-	for i, err := range errs {
-		if err != nil {
-			// Some worker applied this batch (or the outcome is unknowable:
-			// every request failed in transit and a lost response may have
-			// followed an apply), so an errored worker's state no longer
-			// provably covers the stream.
-			live[i].inconsistent.Store(true)
-		} else if accepted[i] > res.Accepted {
-			res.Accepted = accepted[i]
-		}
-	}
-	res.Applied = applied
-	if applied < c.quorum {
-		return res, fmt.Errorf("%w: %d of %d workers applied (need %d): %v", ErrNoQuorum, applied, len(c.workers), c.quorum, firstErr)
-	}
-	return res, nil
-}
-
-// SubmitBatch encodes one event batch in the binary wire format and
-// broadcasts it, the programmatic equivalent of POSTing to every worker. The
-// encode buffer is reused across calls, so steady-state submission allocates
-// only what the HTTP client needs. In log mode the batch is appended to the
-// write-ahead log before the fan-out.
+// SubmitBatch submits one event batch, the programmatic equivalent of
+// POSTing it to the coordinator's /ingest. The encode buffers are reused
+// across calls, so steady-state submission allocates only what the HTTP
+// client needs.
 func (c *Coordinator) SubmitBatch(evs []stream.Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.partitioned {
-		_, err := c.submitPartitioned(evs)
-		return err
-	}
-	if c.log != nil {
-		_, err := c.submitLogged(evs)
-		return err
-	}
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	body, err := c.encodeBody(evs)
-	if err != nil {
-		return err
-	}
-	_, err = c.broadcast(body)
+	_, err := c.submit(evs)
 	return err
 }
 
-// encodeBody canonicalizes a batch into one binary wire body in the reused
-// encode buffer; caller holds encMu. WriteBatch splits at
-// stream.MaxFrameEvents, the same boundaries the log-mode append uses, so a
-// logged frame and a broadcast frame are always the same bytes.
-func (c *Coordinator) encodeBody(evs []stream.Event) ([]byte, error) {
-	return encodeInto(&c.encBuf, evs)
-}
-
-// encodeInto canonicalizes a batch into one binary wire body in the given
-// reused buffer (the partitioned path encodes one body per worker).
-func encodeInto(buf *bytes.Buffer, evs []stream.Event) ([]byte, error) {
-	buf.Reset()
-	bw, err := stream.NewBinaryWriter(buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := bw.WriteBatch(evs); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// submitLogged is the log-mode ingest path: canonical encode, append to the
-// log, then fan out — in that order, so a frame no worker has applied yet is
-// already durable and a worker that misses it is healable by replay. Caller
-// holds the read lock.
-func (c *Coordinator) submitLogged(evs []stream.Event) (IngestResult, error) {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	res := IngestResult{Workers: len(c.workers)}
-	body, err := c.encodeBody(evs)
-	if err != nil {
-		return res, err
-	}
+// submit is the one ingest path: route → log → stamped send → ack (see the
+// package comment). It holds the read lock and bcastMu throughout, so every
+// worker applies its shares in one global order and snapshots never tear.
+func (c *Coordinator) submit(evs []stream.Event) (IngestResult, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
+	res := IngestResult{Accepted: len(evs), Workers: len(c.workers)}
 	// Heal first: a lagging worker past its backoff rejoins before this
-	// batch, so one missed broadcast costs one gap, not permanent exclusion.
-	c.healLagging(false)
+	// batch, so one missed delivery costs one gap, not permanent exclusion.
+	// (Only a worker with a log ever lags.)
+	c.healLagging()
 	live := c.eligible()
 	if len(live) < c.quorum {
 		return res, fmt.Errorf("%w: %d serving of %d (need %d)", ErrNoQuorum, len(live), len(c.workers), c.quorum)
 	}
-	// The stamp is the stream position before this batch: every delivery of
-	// these frames — this broadcast, a catch-up replay, or a duplicate of
-	// either — declares the same position, so a worker applies the events
-	// exactly once no matter how many copies reach it or in what order.
-	startEvents := c.log.Events()
-	for lo := 0; lo < len(evs); lo += stream.MaxFrameEvents {
-		hi := lo + stream.MaxFrameEvents
-		if hi > len(evs) {
-			hi = len(evs)
-		}
-		if _, err := c.log.Append(evs[lo:hi]); err != nil {
-			// Nothing was broadcast: the cluster is consistent and the
-			// client can retry once the log is writable again.
-			return res, fmt.Errorf("cluster: write-ahead log append: %w", err)
-		}
+	c.route(evs)
+	for i := range c.shares {
+		c.shares[i].encode()
+		c.shares[i].stamp = -1
 	}
-	endPos, endEvents := c.log.End(), c.log.Events()
-	accepted := make([]int, len(live))
-	errs := fanout(live, func(i int, w *workerRef) error {
+	// Durable before delivered. The stamp is the log position before the
+	// share: every delivery of these frames — this send, a catch-up replay,
+	// or a duplicate of either — declares the same position, so a worker
+	// applies the events exactly once however many copies reach it.
+	for i, lg := range c.wals {
+		sh := &c.shares[i]
+		sh.stamp = lg.Events()
+		if err := appendFrames(lg, sh.evs); err != nil {
+			// Earlier slots' logs hold their shares but no worker has seen
+			// them: mark those workers lagging so replay delivers the durable
+			// tail. In broadcast mode nothing was logged and the client can
+			// retry once the log is writable again.
+			for _, w := range live {
+				if j := c.slot(w); j < i && len(c.shares[j].evs) > 0 {
+					w.lagging.Store(true)
+				}
+			}
+			return res, fmt.Errorf("cluster: write-ahead log %d append: %w", i, err)
+		}
+		sh.end = WALMark{Position: lg.End(), Events: lg.Events()}
+	}
+	errs := fanout(live, func(_ int, w *workerRef) error {
+		sh := &c.shares[c.slot(w)]
+		if len(sh.evs) == 0 {
+			return nil // no share this batch; the worker's position is unchanged
+		}
 		var reply struct {
 			Accepted  int `json:"accepted"`
 			Duplicate int `json:"duplicate"`
 		}
-		if err := c.postStamped(w, "/ingest", body, startEvents, &reply); err != nil {
+		if err := c.send(http.MethodPost, w, "/ingest", sh.body, sh.stamp, &reply); err != nil {
 			return err
 		}
 		// Duplicates count as covered: the worker already holds those events
-		// (an earlier delivery applied but its response was lost).
-		accepted[i] = reply.Accepted + reply.Duplicate
+		// (an earlier delivery applied but its response was lost). Anything
+		// short of the whole share leaves the worker out of step.
+		if reply.Accepted+reply.Duplicate != len(sh.evs) {
+			return fmt.Errorf("applied %d of %d events (%d duplicate)", reply.Accepted, len(sh.evs), reply.Duplicate)
+		}
 		return nil
 	})
 	var firstErr error
-	applied := 0
 	for i, err := range errs {
-		if err == nil {
-			applied++
-			live[i].acked.Store(endPos)
-			live[i].ackedEvents.Store(endEvents)
-			if accepted[i] > res.Accepted {
-				res.Accepted = accepted[i]
+		w := live[i]
+		switch {
+		case err == nil:
+			res.Applied++
+			if c.wals != nil {
+				end := c.shares[c.slot(w)].end
+				w.acked.Store(end.Position)
+				w.ackedEvents.Store(end.Events)
 			}
 			continue
+		case c.wals != nil:
+			// The body is canonical — this coordinator encoded it — so a
+			// rejection is never a bad stream: the worker is out of step, and
+			// because its share is on the log, replay heals it.
+			w.lagging.Store(true)
+			w.lastCatchUp.Store(time.Now().UnixNano())
+		default:
+			// Without a log a missed share is unrecoverable: the worker's
+			// state no longer provably covers its stream.
+			w.inconsistent.Store(true)
 		}
-		// The body is canonical — this coordinator encoded it — so a
-		// rejection is never a bad stream: the worker is out of step, and
-		// because the frames are on the log, replay (not a cluster restore)
-		// heals it.
-		live[i].lagging.Store(true)
-		live[i].lastCatchUp.Store(time.Now().UnixNano())
 		if firstErr == nil {
-			firstErr = fmt.Errorf("worker %s: %w", live[i].url, err)
+			firstErr = fmt.Errorf("worker %s: %w", w.url, err)
 		}
 	}
-	res.Applied = applied
 	c.truncateToMinAck()
-	if applied < c.quorum {
-		return res, fmt.Errorf("%w: %d of %d workers applied (need %d): %v", ErrNoQuorum, applied, len(c.workers), c.quorum, firstErr)
+	if res.Applied < c.quorum {
+		return res, fmt.Errorf("%w: %d of %d workers applied (need %d): %v", ErrNoQuorum, res.Applied, len(c.workers), c.quorum, firstErr)
 	}
 	return res, nil
 }
 
-// truncateToMinAck retires sealed log segments the whole fleet has passed;
-// bcastMu held. Every worker's ack — lagging and inconsistent included —
-// pins retention: a lagging worker's replay tail must be retained until it
-// catches up, and an inconsistent worker's stale ack still brackets where a
-// recent snapshot may sit. Only Restore (which re-seeds every ack from the
-// blob's position) moves an irrecoverably behind worker forward.
-//
-// When *no* consistent worker remains, the minimum ack is a minimum over
-// stale bookmarks only — positions no live state backs. Acks can sit above
-// the last truncation point without any consistent state behind them (a
-// Restore seeds and replays acks without truncating), so truncating to that
-// minimum could retire exactly the tail the healing snapshot restore needs
-// to replay ("restore from blob + tail"). A fully inconsistent fleet
-// therefore pins retention outright: no truncation until a restore brings a
-// worker back. In partitioned mode each partition's log answers to its one
-// worker — the single-worker instance of the same rule: truncate log i to
-// worker i's ack, or not at all while that worker is inconsistent.
-// Truncation failures are left for the next attempt.
-func (c *Coordinator) truncateToMinAck() {
-	if c.partitioned {
-		for _, w := range c.workers {
-			if w.inconsistent.Load() {
-				continue
-			}
-			c.logs[w.idx].TruncateBefore(w.acked.Load())
-		}
+// route splits a batch into the per-slot shares; bcastMu held. Broadcast
+// mode's one slot holds the whole batch (aliased, not copied). Partitioned
+// slot i holds the events with an endpoint partition i owns, in stream order;
+// a two-owner edge goes to both owners, each weighting its contributions by
+// its owned-endpoint fraction (serve.Config's partition slot), so the fleet
+// counts every completing edge with total weight one.
+func (c *Coordinator) route(evs []stream.Event) {
+	if !c.partitioned {
+		c.shares[0].evs = evs
 		return
 	}
-	anyConsistent := false
-	min := c.workers[0].acked.Load()
-	for _, w := range c.workers {
-		if !w.inconsistent.Load() {
-			anyConsistent = true
-		}
-		if a := w.acked.Load(); a < min {
-			min = a
+	for i := range c.shares {
+		c.shares[i].evs = c.shares[i].evs[:0]
+	}
+	for _, ev := range evs {
+		a, b := partition.Owners(ev.Edge, len(c.shares))
+		c.shares[a].evs = append(c.shares[a].evs, ev)
+		if b != a {
+			c.shares[b].evs = append(c.shares[b].evs, ev)
 		}
 	}
-	if !anyConsistent {
-		return
-	}
-	c.log.TruncateBefore(min)
 }
 
-// SubmitPooled broadcasts a pooled batch (the PR 3 zero-copy ingest
-// currency) and releases it: the batch's events are encoded once into the
-// coordinator's reused wire buffer and the same bytes go to every worker.
+// appendFrames logs evs as frames of at most stream.MaxFrameEvents events.
+func appendFrames(lg *wal.Log, evs []stream.Event) error {
+	for lo := 0; lo < len(evs); lo += stream.MaxFrameEvents {
+		if _, err := lg.Append(evs[lo:min(lo+stream.MaxFrameEvents, len(evs))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// truncateToMinAck retires, on every log, the sealed segments all of that
+// log's workers have passed; bcastMu held. Every worker's ack — lagging and
+// inconsistent included — pins retention: a lagging worker's replay tail must
+// be retained until it catches up, and an inconsistent worker's stale ack
+// still brackets where a recent snapshot may sit. Only Restore (which
+// re-seeds every ack from the blob's position) moves an irrecoverably behind
+// worker forward.
+//
+// When *none* of a log's workers is consistent, its minimum ack is a minimum
+// over stale bookmarks only — positions no live state backs. Acks can sit
+// above the last truncation point without any consistent state behind them
+// (a Restore seeds and replays acks without truncating), so truncating to
+// that minimum could retire exactly the tail the healing snapshot restore
+// needs to replay ("restore from blob + tail"). Such a log therefore pins
+// retention outright: no truncation until a restore brings a worker back. A
+// partition log answers to its one worker, so it is truncated to that
+// worker's ack, or not at all while the worker is inconsistent. Truncation
+// failures are left for the next attempt.
+func (c *Coordinator) truncateToMinAck() {
+	for i, lg := range c.wals {
+		minAck, anyConsistent := uint64(math.MaxUint64), false
+		for _, w := range c.workers {
+			if c.slot(w) == i {
+				minAck = min(minAck, w.acked.Load())
+				anyConsistent = anyConsistent || !w.inconsistent.Load()
+			}
+		}
+		if anyConsistent {
+			lg.TruncateBefore(minAck)
+		}
+	}
+}
+
+// SubmitPooled submits a pooled batch (the zero-copy ingest currency) and
+// releases it.
 func (c *Coordinator) SubmitPooled(b *stream.Batch) error {
 	err := c.SubmitBatch(b.Events)
 	b.Release()
@@ -801,22 +727,13 @@ func (c *Coordinator) SubmitPooled(b *stream.Batch) error {
 var errStopChunk = errors.New("cluster: replay chunk full")
 
 // healLagging attempts catch-up on lagging workers past their backoff;
-// bcastMu held. With force, every worker is probed and re-aligned — the
-// CatchUp/boot/post-restore path, which also repatriates inconsistent
-// workers whose position turns out to align after all (e.g. after the
-// coordinator restarted and lost its ack table).
-func (c *Coordinator) healLagging(force bool) {
+// bcastMu held. (CatchUp is the forced variant: it probes every worker.)
+func (c *Coordinator) healLagging() {
 	now := time.Now().UnixNano()
 	for _, w := range c.workers {
-		if !force {
-			if !w.lagging.Load() || w.inconsistent.Load() {
-				continue
-			}
-			if last := w.lastCatchUp.Load(); now-last < int64(catchUpBackoff) {
-				continue
-			}
+		if w.lagging.Load() && !w.inconsistent.Load() && now-w.lastCatchUp.Load() >= int64(catchUpBackoff) {
+			c.catchUpWorker(w)
 		}
-		c.catchUpWorker(w)
 	}
 }
 
@@ -906,7 +823,7 @@ func (c *Coordinator) replayTo(w *workerRef) error {
 			Accepted  int `json:"accepted"`
 			Duplicate int `json:"duplicate"`
 		}
-		if err := c.postStamped(w, "/ingest", body, startEvents, &reply); err != nil {
+		if err := c.send(http.MethodPost, w, "/ingest", body, startEvents, &reply); err != nil {
 			return err
 		}
 		if reply.Accepted+reply.Duplicate != total {
@@ -928,7 +845,7 @@ func (c *Coordinator) replayTo(w *workerRef) error {
 // end; otherwise the error wraps ErrCatchUpIncomplete and the stragglers
 // stay marked for automatic retry.
 func (c *Coordinator) CatchUp() error {
-	if !c.hasWAL() {
+	if c.wals == nil {
 		return fmt.Errorf("cluster: no write-ahead log configured (start the coordinator with -wal-dir)")
 	}
 	c.mu.RLock()
@@ -950,11 +867,21 @@ func (c *Coordinator) CatchUp() error {
 
 // Log returns the attached write-ahead log (nil without one, and nil in
 // partitioned mode — see Logs).
-func (c *Coordinator) Log() *wal.Log { return c.log }
+func (c *Coordinator) Log() *wal.Log {
+	if c.partitioned || c.wals == nil {
+		return nil
+	}
+	return c.wals[0]
+}
 
 // Logs returns the per-partition write-ahead logs of a partitioned
 // coordinator (nil without durability, and nil in broadcast mode — see Log).
-func (c *Coordinator) Logs() []*wal.Log { return c.logs }
+func (c *Coordinator) Logs() []*wal.Log {
+	if !c.partitioned {
+		return nil
+	}
+	return c.wals
+}
 
 // Estimate is a combined scatter/gather read over the worker fleet.
 type Estimate struct {
@@ -1139,26 +1066,44 @@ type WALMark struct {
 	Events   int64  `json:"events"`
 }
 
+// marks returns the per-slot log positions the blob records (nil when it
+// records none): WAL as the one fleet slot's, or WALs as the partitions'.
+func (s *Snapshot) marks() []WALMark {
+	if s.Partitioned {
+		return s.WALs
+	}
+	if s.WAL == nil {
+		return nil
+	}
+	return []WALMark{*s.WAL}
+}
+
 // snapshotVersion guards the cluster snapshot wire format.
 const snapshotVersion = 1
 
-// Flush fans POST /flush out to the whole fleet and blocks until every
-// worker has applied every batch delivered before the call: a fleet-wide
-// position barrier. Broadcasts are excluded while it runs (same locking as
-// Snapshot), so when Flush returns nil a subsequent Estimate reflects every
-// completed submission. Unlike Snapshot it moves no state — this is the
+// Flush fans POST /flush out to the serving workers — the ones Estimate
+// gathers from — and blocks until each has applied every batch delivered
+// before the call: a position barrier. Submits are excluded while it runs
+// (same locking as Snapshot), so when Flush returns nil a subsequent
+// Estimate reflects every completed submission. Fewer serving workers than
+// the quorum is an ErrNoQuorum error, and a serving worker that fails the
+// barrier fails the call. Unlike Snapshot it moves no state — this is the
 // barrier to use when the caller wants read-your-writes, not a checkpoint.
 func (c *Coordinator) Flush() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
-	errs := fanout(c.workers, func(i int, w *workerRef) error {
+	live := c.eligible()
+	if len(live) < c.quorum {
+		return fmt.Errorf("%w: %d serving of %d (need %d)", ErrNoQuorum, len(live), len(c.workers), c.quorum)
+	}
+	errs := fanout(live, func(i int, w *workerRef) error {
 		return c.post(w, "/flush", nil, nil)
 	})
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("cluster: flush worker %s: %w", c.workers[i].url, err)
+			return fmt.Errorf("cluster: flush worker %s: %w", live[i].url, err)
 		}
 	}
 	return nil
@@ -1174,8 +1119,8 @@ func (c *Coordinator) Flush() error {
 func (c *Coordinator) Snapshot() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Excluding broadcasts while the snapshot fans out is what makes the
-	// blob a single stream position: every completed broadcast is on every
+	// Excluding submits while the snapshot fans out is what makes the blob
+	// a single stream position: every completed submit is on every
 	// worker, and none is mid-flight on some workers only. Reads stay
 	// concurrent (they take neither lock exclusively).
 	c.bcastMu.Lock()
@@ -1184,17 +1129,16 @@ func (c *Coordinator) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("cluster: %d of %d workers are not serving (lagging or inconsistent); a cluster snapshot needs the whole fleet (catch it up or restore it first)", len(c.workers)-len(live), len(c.workers))
 	}
 	snap := Snapshot{ClusterVersion: snapshotVersion, Workers: make([]json.RawMessage, len(c.workers)), Partitioned: c.partitioned}
-	if c.log != nil {
-		// Under bcastMu no broadcast is mid-flight and every eligible worker
-		// has acked the log end, so the fleet sits at exactly this position.
-		snap.WAL = &WALMark{Position: c.log.End(), Events: c.log.Events()}
+	// Under bcastMu no submit is mid-flight and every eligible worker has
+	// acked its log's end, so the fleet sits at exactly these positions.
+	marks := make([]WALMark, len(c.wals))
+	for i, lg := range c.wals {
+		marks[i] = WALMark{Position: lg.End(), Events: lg.Events()}
 	}
-	if c.partitioned && c.logs != nil {
-		// Same argument per partition: worker i has acked log i's end.
-		snap.WALs = make([]WALMark, len(c.logs))
-		for i, lg := range c.logs {
-			snap.WALs[i] = WALMark{Position: lg.End(), Events: lg.Events()}
-		}
+	if c.partitioned && c.wals != nil {
+		snap.WALs = marks
+	} else if c.wals != nil {
+		snap.WAL = &marks[0]
 	}
 	errs := fanout(c.workers, func(i int, w *workerRef) error {
 		raw, err := c.get(w, "/snapshot")
@@ -1213,23 +1157,12 @@ func (c *Coordinator) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if snap.WAL != nil {
-		// The workers' own recorded positions must agree with the log —
-		// a mismatch means some worker's state is not the logged stream, and
-		// a blob that replays wrongly is worse than no blob.
-		for i, info := range infos {
-			if info.Position != snap.WAL.Events {
-				return nil, fmt.Errorf("cluster: worker %s snapshot is at position %d, the log is at %d; the blob does not describe one stream position", c.workers[i].url, info.Position, snap.WAL.Events)
-			}
-		}
-	}
-	if snap.WALs != nil {
-		// Per-partition check: worker i's position is its substream position
-		// and must agree with partition log i.
-		for i, info := range infos {
-			if info.Position != snap.WALs[i].Events {
-				return nil, fmt.Errorf("cluster: worker %s snapshot is at position %d, its partition log is at %d; the blob does not describe one stream position", c.workers[i].url, info.Position, snap.WALs[i].Events)
-			}
+	// The workers' own recorded positions must agree with their logs — a
+	// mismatch means some worker's state is not its logged stream, and a blob
+	// that replays wrongly is worse than no blob.
+	for i, info := range infos {
+		if w := c.workers[i]; c.wals != nil && info.Position != marks[c.slot(w)].Events {
+			return nil, fmt.Errorf("cluster: worker %s snapshot is at position %d, its log is at %d; the blob does not describe one stream position", w.url, info.Position, marks[c.slot(w)].Events)
 		}
 	}
 	return json.Marshal(snap)
@@ -1329,35 +1262,27 @@ func (c *Coordinator) Restore(blob []byte) error {
 	defer c.mu.Unlock()
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
-	// Position the blob against the log(s) before any worker state is
-	// touched: the restore is only useful if the log can carry the fleet from
-	// the blob's position to the present. marks[i] is worker i's mark — the
-	// shared one in broadcast mode, its partition log's in partitioned mode.
-	marks := make([]*WALMark, len(c.workers))
-	if !c.partitioned && c.log != nil {
-		mark, err := positionMark(c.log, snap.WAL)
+	// Position the blob against each log before any worker state is touched:
+	// the restore is only useful if the log can carry its workers from the
+	// blob's position to the present.
+	recorded := snap.marks()
+	if c.wals != nil && recorded != nil && len(recorded) != len(c.wals) {
+		return fmt.Errorf("cluster: snapshot records %d log positions, coordinator has %d logs", len(recorded), len(c.wals))
+	}
+	marks := make([]WALMark, len(c.wals))
+	for i, lg := range c.wals {
+		var m *WALMark
+		if recorded != nil {
+			m = &recorded[i]
+		}
+		mark, err := positionMark(lg, m)
 		if err != nil {
+			if c.partitioned {
+				err = fmt.Errorf("partition %d: %w", i, err)
+			}
 			return err
 		}
-		for i := range marks {
-			marks[i] = mark
-		}
-	}
-	if c.partitioned && c.logs != nil {
-		if snap.WALs != nil && len(snap.WALs) != len(c.logs) {
-			return fmt.Errorf("cluster: snapshot records %d partition log positions, coordinator has %d logs", len(snap.WALs), len(c.logs))
-		}
-		for i, lg := range c.logs {
-			var m *WALMark
-			if snap.WALs != nil {
-				m = &snap.WALs[i]
-			}
-			mark, err := positionMark(lg, m)
-			if err != nil {
-				return fmt.Errorf("partition %d: %w", i, err)
-			}
-			marks[i] = mark
-		}
+		marks[i] = *mark
 	}
 	errs := fanout(c.workers, func(i int, w *workerRef) error {
 		return c.post(w, "/restore", snap.Workers[i], nil)
@@ -1372,10 +1297,11 @@ func (c *Coordinator) Restore(blob []byte) error {
 			}
 		} else {
 			w.inconsistent.Store(false)
-			if mark := marks[i]; mark != nil {
+			if lg := c.walFor(w); lg != nil {
+				mark := marks[c.slot(w)]
 				w.acked.Store(mark.Position)
 				w.ackedEvents.Store(mark.Events)
-				w.lagging.Store(mark.Position < c.walFor(w).End())
+				w.lagging.Store(mark.Position < lg.End())
 			}
 		}
 	}
@@ -1383,16 +1309,14 @@ func (c *Coordinator) Restore(blob []byte) error {
 		return firstErr
 	}
 	// Where a blob is behind its log's present, finish the job by replay, so
-	// a successful restore always lands the fleet at the log end(s). A replay
-	// failure is retried automatically at the next broadcast.
+	// a successful restore always lands the fleet at the log ends. A replay
+	// failure is retried automatically at the next submit.
 	var replayErr error
-	for i, w := range c.workers {
-		mark := marks[i]
-		if mark == nil || mark.Position >= c.walFor(w).End() {
+	for _, w := range c.workers {
+		if !w.lagging.Load() {
 			continue
 		}
 		if err := c.replayTo(w); err != nil {
-			w.lagging.Store(true)
 			if replayErr == nil {
 				replayErr = fmt.Errorf("%w: worker %s: %v", ErrCatchUpIncomplete, w.url, err)
 			}
@@ -1454,7 +1378,7 @@ func (c *Coordinator) SwapPolicy(artifact []byte) error {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Excluding broadcasts while the swap fans out gives every worker the
+	// Excluding submits while the swap fans out gives every worker the
 	// weight flip at the same stream position — the fleet analogue of the
 	// ensemble's quiesce barrier.
 	c.bcastMu.Lock()
@@ -1553,7 +1477,7 @@ func (c *Coordinator) PolicyStatus() (json.RawMessage, error) {
 type WorkerHealth struct {
 	URL string `json:"url"`
 	// Consistent is false once the worker's state cannot be healed by log
-	// replay (or, without a log, once it has missed any broadcast); it needs
+	// replay (or, without a log, once it has missed any share); it needs
 	// a cluster restore to rejoin.
 	Consistent bool `json:"consistent"`
 	// Reachable is whether the worker answered this probe.
@@ -1633,26 +1557,14 @@ type Health struct {
 func (c *Coordinator) Health() Health {
 	h := Health{Workers: len(c.workers), Quorum: c.quorum, Partitioned: c.partitioned}
 	h.WorkersDetail = make([]WorkerHealth, len(c.workers))
-	if c.log != nil {
-		h.WAL = &WALHealth{
-			Dir:      c.log.Dir(),
-			Base:     c.log.Base(),
-			End:      c.log.End(),
-			Events:   c.log.Events(),
-			Segments: c.log.Segments(),
-		}
+	wals := make([]WALHealth, len(c.wals))
+	for i, lg := range c.wals {
+		wals[i] = WALHealth{Dir: lg.Dir(), Base: lg.Base(), End: lg.End(), Events: lg.Events(), Segments: lg.Segments()}
 	}
-	if c.partitioned && c.logs != nil {
-		h.WALs = make([]WALHealth, len(c.logs))
-		for i, lg := range c.logs {
-			h.WALs[i] = WALHealth{
-				Dir:      lg.Dir(),
-				Base:     lg.Base(),
-				End:      lg.End(),
-				Events:   lg.Events(),
-				Segments: lg.Segments(),
-			}
-		}
+	if c.partitioned && c.wals != nil {
+		h.WALs = wals
+	} else if c.wals != nil {
+		h.WAL = &wals[0]
 	}
 	type workerHealthz struct {
 		Patterns  []string `json:"patterns"`
@@ -1669,7 +1581,7 @@ func (c *Coordinator) Health() Health {
 	probes := make([]*workerHealthz, len(c.workers))
 	fanout(c.workers, func(i int, w *workerRef) error {
 		wh := WorkerHealth{URL: w.url, Consistent: !w.inconsistent.Load(), Lagging: w.lagging.Load()}
-		if c.hasWAL() {
+		if c.wals != nil {
 			wh.Acked = w.acked.Load()
 		}
 		raw, err := c.get(w, "/healthz")
@@ -1681,7 +1593,7 @@ func (c *Coordinator) Health() Health {
 			if json.Unmarshal(raw, &probe) == nil {
 				probes[i] = &probe
 				wh.Policy = probe.Policy
-				if c.hasWAL() {
+				if c.wals != nil {
 					wh.Position = probe.Position
 				}
 			}

@@ -24,7 +24,7 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator is the HTTP front end over a worker fleet: the same endpoint
-// set as the single-node Server, with ingest broadcast to every worker,
+// set as the single-node Server, with ingest routed to the workers,
 // estimates gathered and combined, checkpointing fanned out into one cluster
 // blob, and /healthz reporting fleet quorum. Construct with NewCoordinator.
 type Coordinator struct {
@@ -113,7 +113,7 @@ func (c *Coordinator) handleClusterPolicySwap(w http.ResponseWriter, r *http.Req
 // handleCatchUp triggers an explicit fleet catch-up against the write-ahead
 // log: every worker is probed, re-aligned, and replayed to the log end. 200
 // means the whole fleet is caught up; 502 means some worker still lags (the
-// body says which, and the coordinator keeps retrying at each broadcast);
+// body says which, and the coordinator keeps retrying at each ingest);
 // 400 means the coordinator runs without a log.
 func (c *Coordinator) handleCatchUp(w http.ResponseWriter, r *http.Request) {
 	if err := c.coord.CatchUp(); err != nil {
