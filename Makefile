@@ -70,12 +70,17 @@ enum-smoke:
 # the trained-bytes golden, the hot-swap path (concurrent ingest/swap/read
 # storm, swap->snapshot->restore->resume bit-identity at the serve and
 # cluster layers, partial-swap fault injections and heal-by-restore), shadow
-# evaluation, the learned-weight alloc guards, and the WSD-L statistical
-# acceptance harness; then a short fuzz pass over the artifact decoder.
+# evaluation, the learned-weight alloc guards, the WSD-L statistical
+# acceptance harness, and the temporal-fold property test (the clique sink's
+# merged Eq. 20 features bit-identical to the materializing path's); then a
+# short fuzz pass over the artifact decoder, and the core-wsdl
+# dense-community cell end to end with -race on — the cell whose throughput
+# WSD-L's state extraction owns.
 policy-smoke:
 	$(GO) test -race ./internal/policy/ ./internal/nn/
-	$(GO) test -race -run 'Policy|Shadow|WSDL' ./internal/serve/ ./internal/cluster/ ./internal/core/ .
+	$(GO) test -race -run 'Policy|Shadow|WSDL|TemporalFold' ./internal/serve/ ./internal/cluster/ ./internal/core/ .
 	$(GO) test -run xxx -fuzz FuzzPolicyArtifactDecode -fuzztime 30s ./internal/policy/
+	$(GO) run -race ./cmd/wsdbench -exp suite -only core-wsdl -trials 1
 
 # Temporal estimation under the race detector: the window/ring and exact
 # oracle unit suites, the core window/decay tests (snapshot v5 resume

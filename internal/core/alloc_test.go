@@ -88,28 +88,62 @@ func TestProcessBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestProcessBatchAllocsFullState pins the non-SkipTemporal path too: the
-// temporal feature extraction must stay allocation-free (reused arrival
-// scratch, in-place sort).
-func TestProcessBatchAllocsFullState(t *testing.T) {
-	c, err := New(Config{
-		M:       256,
-		Pattern: pattern.Triangle,
-		Weight:  weights.GPSDefault(),
-		Rng:     xrand.New(5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := steadyBlock(1024, 40)
+// fullStateKinds are the primaries of the temporal-feature alloc guards, one
+// per CliqueSink fold (OnTriangle, OnPair, OnTriple), each with the vertex
+// universe of its steady block. The 4- and 5-clique blocks cycle through a
+// small universe so the lagged live graph is dense enough to complete many
+// instances per insertion.
+var fullStateKinds = []struct {
+	kind     pattern.Kind
+	vertices int
+}{
+	{pattern.Triangle, 40},
+	{pattern.FourClique, 12},
+	{pattern.FiveClique, 12},
+}
+
+// measureSteadyAllocs warms c on block (grows every scratch buffer and primes
+// the freelist), fails the test if the warm-up completed no primary
+// instance, and returns the steady-state allocations per event.
+func measureSteadyAllocs(t *testing.T, c *Counter, block []stream.Event) float64 {
+	t.Helper()
+	completed := false
 	for i := 0; i < 3; i++ {
-		c.ProcessBatch(block)
+		for _, ev := range block {
+			c.Process(ev)
+			completed = completed || c.LastState().Instances > 0
+		}
+	}
+	if !completed {
+		t.Fatal("the steady block completes no primary instance; the guard would measure no state extraction")
 	}
 	avg := testing.AllocsPerRun(5, func() {
 		c.ProcessBatch(block)
 	})
-	if perEvent := avg / float64(len(block)); perEvent > 0.01 {
-		t.Errorf("full-state ingest allocates %.4f/event, budget 0.01", perEvent)
+	return avg / float64(len(block))
+}
+
+// TestProcessBatchAllocsFullState pins the non-SkipTemporal path too: the
+// temporal feature extraction must stay allocation-free (reused scratch, the
+// sink's fixed merges) for every clique primary.
+func TestProcessBatchAllocsFullState(t *testing.T) {
+	for _, tc := range fullStateKinds {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			c, err := New(Config{
+				M:       256,
+				Pattern: tc.kind,
+				Weight:  weights.GPSDefault(),
+				Rng:     xrand.New(5),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			perEvent := measureSteadyAllocs(t, c, steadyBlock(1024, tc.vertices))
+			t.Logf("%s: %.4f allocs/event", tc.kind, perEvent)
+			if perEvent > 0.01 {
+				t.Errorf("full-state ingest allocates %.4f/event, budget 0.01", perEvent)
+			}
+		})
 	}
 }
 
@@ -120,47 +154,45 @@ func TestProcessBatchAllocsFullState(t *testing.T) {
 // scratch vector is reused across events; the budget leaves room only for the
 // same stray block boundaries the heuristic paths tolerate.
 func TestProcessBatchAllocsPolicyWeight(t *testing.T) {
-	// The linear model is built inline (rl.Policy.Func's exact shape — a
-	// reused scratch vector and a dot product) because internal/rl imports
-	// this package and cannot be imported back from its tests.
-	dim := weights.VectorDim(pattern.Triangle.Size())
-	w, b := make([]float64, dim), 0.3
-	for i := range w {
-		w[i] = 0.05 * float64(i+1)
-	}
-	scratch := make([]float64, 0, dim)
-	weight := func(s weights.State) float64 {
-		scratch = s.Vector(scratch)
-		a := b
-		for i, wi := range w {
-			a += wi * scratch[i]
-		}
-		if a < 0 {
-			a = 0
-		}
-		return a + 1
-	}
-	c, err := New(Config{
-		M:       256,
-		Pattern: pattern.Triangle,
-		Weight:  weight,
-		Rng:     xrand.New(5),
-		Policy:  &PolicyParams{ID: "alloc-test", W: w, B: b},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := steadyBlock(1024, 40)
-	for i := 0; i < 3; i++ {
-		c.ProcessBatch(block)
-	}
-	avg := testing.AllocsPerRun(5, func() {
-		c.ProcessBatch(block)
-	})
-	perEvent := avg / float64(len(block))
-	t.Logf("policy weight: %.4f allocs/event (%.1f per block of %d)", perEvent, avg, len(block))
-	if perEvent > 0.02 {
-		t.Errorf("policy-weighted ingest allocates %.4f/event, budget 0.02 — the learned weight function regressed onto the allocator", perEvent)
+	for _, tc := range fullStateKinds {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			// The linear model is built inline (rl.Policy.Func's exact
+			// shape — a reused scratch vector and a dot product) because
+			// internal/rl imports this package and cannot be imported back
+			// from its tests.
+			dim := weights.VectorDim(tc.kind.Size())
+			w, b := make([]float64, dim), 0.3
+			for i := range w {
+				w[i] = 0.05 * float64(i+1)
+			}
+			scratch := make([]float64, 0, dim)
+			weight := func(s weights.State) float64 {
+				scratch = s.Vector(scratch)
+				a := b
+				for i, wi := range w {
+					a += wi * scratch[i]
+				}
+				if a < 0 {
+					a = 0
+				}
+				return a + 1
+			}
+			c, err := New(Config{
+				M:       256,
+				Pattern: tc.kind,
+				Weight:  weight,
+				Rng:     xrand.New(5),
+				Policy:  &PolicyParams{ID: "alloc-test", W: w, B: b},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			perEvent := measureSteadyAllocs(t, c, steadyBlock(1024, tc.vertices))
+			t.Logf("%s policy weight: %.4f allocs/event", tc.kind, perEvent)
+			if perEvent > 0.02 {
+				t.Errorf("policy-weighted ingest allocates %.4f/event, budget 0.02 — the learned weight function regressed onto the allocator", perEvent)
+			}
+		})
 	}
 }
 

@@ -70,7 +70,7 @@ type Config struct {
 	// topological features (Instances, DegU, DegV, Now) are unaffected, so
 	// every built-in heuristic weight — which reads only those — produces
 	// identical weights, identical sampling decisions, and identical
-	// estimates, while the per-instance arrival collection and sort drop out
+	// estimates, while the per-instance arrival collection and fold drop out
 	// of the hot path. Leave unset for WSD-L: the learned policy consumes the
 	// temporal features.
 	SkipTemporal bool
@@ -179,23 +179,29 @@ type Counter struct {
 
 	// Primary-pattern MDP state scratch, reused across events.
 	temporal []float64
-	count    []int64
-	arrivals []float64
+	arrivals []int64
+	// acc holds the per-position fold of the current event's primary
+	// instances (max under AggMax, sum under AggAvg), converted into
+	// temporal once the enumeration is done.
+	acc []int64
 
 	// Clique fast-path state (the CliqueSink route): sink is non-nil unless
 	// an OnInstance hook needs the materialized instances. gFac[i] caches
 	// the combined inverse-probability factor of common neighbor i's two
 	// event-edge-incident edges, so an instance's product is a few
-	// multiplications instead of one clamped division per edge; arrA/arrB
-	// cache the matching arrival indexes for the primary's temporal
-	// features. Each clique kind's sinkSum accumulates in the canonical
-	// (ascending common-ID) enumeration order, which is deterministic for a
-	// given reservoir content — restore rebuilds the same sorted adjacency,
-	// so checkpoint/resume stays bit-identical. triIdx/fourIdx/fiveIdx map
-	// each sink callback to its pattern slot (-1 when not counted).
+	// multiplications instead of one clamped division per edge; while the
+	// primary's temporal features are extracted (sinkTemporal), arrs[i]
+	// holds the same two edges' arrival indexes, ordered. Each instance
+	// merges those ordered pairs with its cross-edge arrivals in a fixed
+	// min/max network and hands the sorted result to foldSorted. Each
+	// clique kind's sinkSum accumulates in the canonical (ascending
+	// common-ID) enumeration order, which is deterministic for a given
+	// reservoir content — restore rebuilds the same sorted adjacency, so
+	// checkpoint/resume stays bit-identical. triIdx/fourIdx/fiveIdx map each
+	// sink callback to its pattern slot (-1 when not counted).
 	sink                     pattern.CliqueSink
 	gFac                     []float64
-	arrA, arrB               []float64
+	arrs                     []arrivalPair
 	sinkTemporal             bool
 	triIdx, fourIdx, fiveIdx int
 
@@ -238,8 +244,8 @@ func New(cfg Config) (*Counter, error) {
 		insertFns: make([]func([]graph.Edge, []any) bool, len(kinds)),
 		deleteFns: make([]func([]graph.Edge, []any) bool, len(kinds)),
 		temporal:  make([]float64, h),
-		count:     make([]int64, h),
-		arrivals:  make([]float64, 0, h),
+		arrivals:  make([]int64, 0, h),
+		acc:       make([]int64, h-1),
 		triIdx:    -1,
 		fourIdx:   -1,
 		fiveIdx:   -1,
@@ -398,7 +404,7 @@ func (c *Counter) observeInsert(i int, others []graph.Edge, payloads []any) bool
 			if x := tq / it.Weight; x > 1 {
 				prod *= x
 			}
-			arr = append(arr, float64(it.Arrival))
+			arr = append(arr, it.Arrival)
 		}
 		// Temporal features: the other edges sorted by arrival (positions
 		// 1..|H|-1); position |H| is the new edge itself at t_k.
@@ -483,12 +489,9 @@ func (c *Counter) insert(e graph.Edge) {
 	// block and its deletion twin in deleteEdge stay inline: as one shared
 	// helper they measured about 5% slower per event on triangle churn
 	// (x86-64, 2 vCPUs).
-	for j := range c.temporal {
-		c.temporal[j] = 0
-		c.count[j] = 0
-	}
+	clear(c.acc)
 	c.curEdge = e
-	c.gFac, c.arrA, c.arrB = c.gFac[:0], c.arrA[:0], c.arrB[:0]
+	c.gFac, c.arrs = c.gFac[:0], c.arrs[:0]
 	c.sinkTemporal = !c.cfg.SkipTemporal && c.cfg.Pattern.IsClique()
 	usedSink := c.comp.ForEachWithSink(c.res, e.U, e.V, c.insertFns, c.sink)
 	if !usedSink {
@@ -512,11 +515,16 @@ func (c *Counter) insert(e graph.Edge) {
 		p.sinkSum, p.instances = 0, 0
 	}
 	if !c.cfg.SkipTemporal {
-		if c.cfg.TemporalAgg == AggAvg {
-			for j := 0; j < h-1; j++ {
-				if c.count[j] > 0 {
-					c.temporal[j] /= float64(c.count[j])
-				}
+		// Each position's max or sum of arrival indexes is an integer.
+		// Below 2^53 (far above any event index, or one event's sum of
+		// them) a per-instance float fold is exact at every step, so the
+		// one conversion gives its value bit for bit. Every primary
+		// instance folds one arrival into each position 1..|H|-1, so AggAvg
+		// divides each by the instance count.
+		for j, a := range c.acc {
+			c.temporal[j] = float64(a)
+			if c.cfg.TemporalAgg == AggAvg && instances > 0 {
+				c.temporal[j] /= float64(instances)
 			}
 		}
 		if instances > 0 {
@@ -652,10 +660,14 @@ func (c *Counter) deleteEdge(e graph.Edge) {
 // edge slices, payload slices, or prods append.
 type counterSink Counter
 
+// arrivalPair is a common neighbor's two event-edge-incident arrival
+// indexes in ascending order.
+type arrivalPair [2]int64
+
 // OnCommon caches common neighbor i's combined inverse-probability factor
 // max(1, tau_q/w_a)·max(1, tau_q/w_b) (Lemma 1, one clamped division per
 // incident edge) and, when the temporal features are being extracted, the two
-// arrival indexes.
+// arrival indexes in ascending order.
 func (s *counterSink) OnCommon(i int, w graph.VertexID, payA, payB any) {
 	c := (*Counter)(s)
 	ia := payA.(*reservoir.Item)
@@ -670,8 +682,7 @@ func (s *counterSink) OnCommon(i int, w graph.VertexID, payA, payB any) {
 	}
 	c.gFac = append(c.gFac, g)
 	if c.sinkTemporal {
-		c.arrA = append(c.arrA, float64(ia.Arrival))
-		c.arrB = append(c.arrB, float64(ib.Arrival))
+		c.arrs = append(c.arrs, arrivalPair{min(ia.Arrival, ib.Arrival), max(ia.Arrival, ib.Arrival)})
 	}
 }
 
@@ -681,7 +692,7 @@ func (s *counterSink) OnTriangle(i int) bool {
 	p.sinkSum += c.gFac[i]
 	p.instances++
 	if c.sinkTemporal && c.triIdx == 0 {
-		c.foldArrivals(append(c.arrivals[:0], c.arrA[i], c.arrB[i]))
+		c.foldSorted(c.arrs[i][:])
 	}
 	return true
 }
@@ -697,8 +708,20 @@ func (s *counterSink) OnPair(i, j int, payIJ any) bool {
 	p.sinkSum += prod
 	p.instances++
 	if c.sinkTemporal && c.fourIdx == 0 {
-		c.foldArrivals(append(c.arrivals[:0],
-			c.arrA[i], c.arrB[i], c.arrA[j], c.arrB[j], float64(it.Arrival)))
+		// Merge the two ordered pairs, then insert the cross edge's arrival
+		// from the top: five ascending values, no branches.
+		s0, s1, s2, s3 := mergePairs(&c.arrs[i], &c.arrs[j])
+		z := it.Arrival
+		s4 := max(s3, z)
+		z = min(s3, z)
+		s3 = max(s2, z)
+		z = min(s2, z)
+		s2 = max(s1, z)
+		z = min(s1, z)
+		s1 = max(s0, z)
+		s0 = min(s0, z)
+		v := [5]int64{s0, s1, s2, s3, s4}
+		c.foldSorted(v[:])
 	}
 	return true
 }
@@ -723,34 +746,68 @@ func (s *counterSink) OnTriple(i, j, k int, payIJ, payIK, payJK any) bool {
 	p.sinkSum += prod
 	p.instances++
 	if c.sinkTemporal && c.fiveIdx == 0 {
-		c.foldArrivals(append(c.arrivals[:0],
-			c.arrA[i], c.arrB[i], c.arrA[j], c.arrB[j], c.arrA[k], c.arrB[k],
-			float64(iij.Arrival), float64(iik.Arrival), float64(ijk.Arrival)))
+		// Merge the first two ordered pairs, then insert the third pair and
+		// the three cross arrivals one by one.
+		ck := &c.arrs[k]
+		var v [9]int64
+		v[0], v[1], v[2], v[3] = mergePairs(&c.arrs[i], &c.arrs[j])
+		insertSorted(v[:5], ck[0])
+		insertSorted(v[:6], ck[1])
+		insertSorted(v[:7], iij.Arrival)
+		insertSorted(v[:8], iik.Arrival)
+		insertSorted(v[:9], ijk.Arrival)
+		c.foldSorted(v[:])
 	}
 	return true
 }
 
-// foldArrivals sorts one primary-pattern instance's arrival indexes and
-// aggregates them into the temporal state features (Eq. 20). An instance has
-// at most 9 edge arrivals, so an in-place insertion sort beats the generic
-// sort's set-up; arrivals are event indexes, never NaN, so the order is the
-// one sort.Float64s gives.
-func (c *Counter) foldArrivals(arr []float64) {
+// mergePairs merges two ordered arrival pairs into their four values in
+// ascending order: the outer two fall out of one compare each, the middle
+// two need a third.
+func mergePairs(a, b *arrivalPair) (s0, s1, s2, s3 int64) {
+	s0, x := min(a[0], b[0]), max(a[0], b[0])
+	y, s3 := min(a[1], b[1]), max(a[1], b[1])
+	return s0, min(x, y), max(x, y), s3
+}
+
+// insertSorted inserts z into v, whose first len(v)-1 values ascend, by a
+// min/max pass from the top: afterwards all of v ascends.
+func insertSorted(v []int64, z int64) {
+	for n := len(v) - 1; n > 0; n-- {
+		v[n] = max(v[n-1], z)
+		z = min(v[n-1], z)
+	}
+	v[0] = z
+}
+
+// foldArrivals sorts one primary-pattern instance's arrival indexes and folds
+// them with foldSorted: the materializing path's Eq. 20 extraction. An
+// instance has at most 9 edge arrivals, so an in-place insertion sort beats
+// the generic sort's set-up.
+func (c *Counter) foldArrivals(arr []int64) {
 	for i := 1; i < len(arr); i++ {
 		for j := i; j > 0 && arr[j] < arr[j-1]; j-- {
 			arr[j], arr[j-1] = arr[j-1], arr[j]
 		}
 	}
-	for j, a := range arr {
-		switch c.cfg.TemporalAgg {
-		case AggMax:
-			if a > c.temporal[j] {
-				c.temporal[j] = a
-			}
-		case AggAvg:
-			c.temporal[j] += a
+	c.foldSorted(arr)
+}
+
+// foldSorted aggregates one primary-pattern instance's arrival indexes,
+// ascending, into the per-position accumulators of the temporal state
+// features (Eq. 20): the j-th smallest arrival goes to position j, kept as a
+// maximum (AggMax) or added to a sum that insert averages (AggAvg).
+func (c *Counter) foldSorted(v []int64) {
+	acc := c.acc[:len(v)]
+	switch c.cfg.TemporalAgg {
+	case AggMax:
+		for j, a := range v {
+			acc[j] = max(acc[j], a)
 		}
-		c.count[j]++
+	case AggAvg:
+		for j, a := range v {
+			acc[j] += a
+		}
 	}
 }
 

@@ -389,6 +389,7 @@ func (r *Reservoir) Get(e graph.Edge) (*Item, bool) {
 
 // Push inserts a new item. It panics if the reservoir is full or already
 // contains the edge: both indicate a sampler logic bug, not an input error.
+// Either panic leaves the reservoir unchanged.
 func (r *Reservoir) Push(it *Item) {
 	if r.Full() {
 		panic("reservoir: push into full reservoir")

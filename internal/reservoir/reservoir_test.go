@@ -3,6 +3,7 @@ package reservoir
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,89 @@ func TestCapacityAndDuplicatePanics(t *testing.T) {
 	}
 	if !r.Full() {
 		t.Fatal("reservoir with 1/1 items should be full")
+	}
+}
+
+// TestDuplicatePushLeavesReservoirUnchanged pins the fused duplicate check:
+// Push finds a duplicate while linking the edge's first endpoint, and must
+// panic before it writes anything. After each recovered panic the sample
+// keeps its size, its items, its heap order and its rows. Rows of every
+// length class are covered, including full ones (length a power of two),
+// whose next insert would move the row, and a stored self-loop, whose row
+// holds two entries under one key.
+func TestDuplicatePushLeavesReservoirUnchanged(t *testing.T) {
+	r := New(64)
+	var edges []graph.Edge
+	rank := 0.0
+	// Scrambled ranks, so the heap order differs from the push order.
+	push := func(u, v graph.VertexID) {
+		rank += 1.5
+		r.Push(item(u, v, float64(int(rank*7)%23)+rank/100))
+		edges = append(edges, graph.NewEdge(u, v))
+	}
+	for v := graph.VertexID(1); v <= 8; v++ { // vertex 0's row fills to 8
+		push(0, v)
+	}
+	push(1, 2)
+	push(1, 3) // vertex 1's row: 0, 2, 3
+	push(5, 5) // self-loop
+	type snap struct {
+		heap []*Item
+		rows map[graph.VertexID][]graph.VertexID
+	}
+	take := func() snap {
+		s := snap{heap: append([]*Item(nil), r.heap...), rows: map[graph.VertexID][]graph.VertexID{}}
+		for v := graph.VertexID(0); v <= 8; v++ {
+			s.rows[v] = append([]graph.VertexID(nil), r.list(v).vs...)
+		}
+		return s
+	}
+	before := take()
+	items := map[graph.Edge]*Item{}
+	for _, e := range edges {
+		it, _ := r.Get(e)
+		items[e] = it
+	}
+	for _, e := range edges {
+		for _, dup := range []*Item{item(e.U, e.V, 99), item(e.V, e.U, 0.5), items[e]} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("duplicate push of %v did not panic", e)
+					}
+				}()
+				r.Push(dup)
+			}()
+			if r.Len() != len(edges) {
+				t.Fatalf("after duplicate %v: Len = %d, want %d", e, r.Len(), len(edges))
+			}
+			for _, f := range edges {
+				if it, ok := r.Get(f); !ok || it != items[f] {
+					t.Fatalf("after duplicate %v: Get(%v) = %p, %v; want %p", e, f, it, ok, items[f])
+				}
+			}
+			after := take()
+			for i := range before.heap {
+				if after.heap[i] != before.heap[i] || after.heap[i].heapIdx != i {
+					t.Fatalf("after duplicate %v: heap slot %d changed", e, i)
+				}
+			}
+			for v, row := range before.rows {
+				if got := after.rows[v]; !slices.Equal(got, row) {
+					t.Fatalf("after duplicate %v: row %d = %v, want %v", e, v, got, row)
+				}
+			}
+		}
+	}
+	// The sample still works: the minimum pops in rank order and a fresh
+	// edge (and a fresh self-loop) link normally.
+	r.Push(item(0, 9, -1))
+	r.Push(item(6, 6, -2))
+	if got := r.PopMin(); got.Edge != graph.NewEdge(6, 6) {
+		t.Fatalf("PopMin = %v, want the fresh self-loop", got.Edge)
+	}
+	if !r.HasEdge(0, 9) || !r.HasEdge(5, 5) {
+		t.Fatal("reservoir lost an edge after the recovered panics")
 	}
 }
 
