@@ -17,7 +17,7 @@ fmt:
 check: fmt vet build test
 
 # Everything under the race detector (CI runs this; the concurrency-heavy
-# packages are pipeline, shard, and serve).
+# packages are shard, serve, and cluster).
 race:
 	$(GO) test -race ./...
 
@@ -73,14 +73,15 @@ enum-smoke:
 # evaluation, the learned-weight alloc guards, the WSD-L statistical
 # acceptance harness, and the temporal-fold property test (the clique sink's
 # merged Eq. 20 features bit-identical to the materializing path's); then a
-# short fuzz pass over the artifact decoder, and the core-wsdl
-# dense-community cell end to end with -race on — the cell whose throughput
-# WSD-L's state extraction owns.
+# short fuzz pass over the artifact decoder, and the core-wsdl and
+# core-temporal dense-community cells end to end with -race on — the cells
+# whose throughput WSD-L's state extraction owns (core-temporal computes the
+# features under the WSD-H weight, so its gap to core is their cost).
 policy-smoke:
 	$(GO) test -race ./internal/policy/ ./internal/nn/
 	$(GO) test -race -run 'Policy|Shadow|WSDL|TemporalFold' ./internal/serve/ ./internal/cluster/ ./internal/core/ .
 	$(GO) test -run xxx -fuzz FuzzPolicyArtifactDecode -fuzztime 30s ./internal/policy/
-	$(GO) run -race ./cmd/wsdbench -exp suite -only core-wsdl -trials 1
+	$(GO) run -race ./cmd/wsdbench -exp suite -only core-wsdl,core-temporal -trials 1
 
 # Temporal estimation under the race detector: the window/ring and exact
 # oracle unit suites, the core window/decay tests (snapshot v5 resume

@@ -98,8 +98,9 @@ func BenchmarkFig5DeletionIntensity(b *testing.B) {
 // Ablation benches for the design choices DESIGN.md calls out beyond the
 // paper's own Table XIII.
 
-// Ingestion throughput: single-goroutine pipeline.Processor (per-event
-// Submit) versus the sharded ensemble (batched broadcast, split budget).
+// Ingestion throughput: single-goroutine Processor (a one-shard ensemble fed
+// by per-event Submit) versus the sharded ensemble (batched broadcast, split
+// budget).
 // 4-cliques make the per-event enumeration cost superlinear in the reservoir
 // size, which is the regime sharding is built for: K reservoirs of m/K edges
 // do less total completion-search work than one of m, on top of the batched

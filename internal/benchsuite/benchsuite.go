@@ -13,9 +13,10 @@
 //	         Barabasi-Albert graph, cheap pattern at high instance counts),
 //	         deletion-churn (mass-deletion events, the fully dynamic stress)
 //	ingest:  core (bare counter, batched calls), pipeline (one worker
-//	         goroutine behind a channel), shard4 (4-shard split-budget
-//	         ensemble, refcounted broadcast), binary-decode (wire-format
-//	         frames decoded into pooled batches feeding a pipeline),
+//	         goroutine behind a channel: a one-shard ensemble), shard4
+//	         (4-shard split-budget ensemble, refcounted broadcast),
+//	         binary-decode (wire-format frames decoded into pooled batches
+//	         feeding the pipeline cell's worker),
 //	         multi3 (one 3-pattern MultiCounter over one shared sample),
 //	         single3x (the same 3 patterns as 3 independent counters, the
 //	         baseline multi3 is measured against; dense-community only), and
@@ -27,12 +28,16 @@
 //	         and the estimates composed by visibility-corrected summation —
 //	         the scaling mode; dense-community only), cluster3-wal (the
 //	         same fleet with a write-ahead log on the broadcast path — the
-//	         durability tax; dense-community only), core-wsdl (the bare
-//	         counter under a learned WSD-L policy weight function — the
-//	         policy-evaluation tax on the hot path, which must stay
-//	         allocation-free; dense-community only), and cluster3-wsdl (the
-//	         cluster3 fleet booted with a policy artifact — the learned
-//	         weight function end to end; dense-community only)
+//	         durability tax; dense-community only), core-temporal (the
+//	         bare counter with the temporal features computed under the
+//	         same WSD-H weight, which ignores them — the state-extraction
+//	         rung, whose MRE equals core's; dense-community only),
+//	         core-wsdl (the bare counter under a learned WSD-L policy
+//	         weight function — the policy-evaluation tax on the hot path,
+//	         which must stay allocation-free; dense-community only), and
+//	         cluster3-wsdl (the cluster3 fleet booted with a policy
+//	         artifact — the learned weight function end to end;
+//	         dense-community only)
 //
 // Everything is seeded: the streams, the samplers, and the trial protocol,
 // so two runs on the same machine measure the same computation and the only
@@ -60,7 +65,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -197,14 +201,49 @@ func multiPatterns(sp streamSpec) []pattern.Kind {
 	return kinds[:3]
 }
 
-func newCoreCounter(sp streamSpec, m int, seed int64) (*core.Counter, error) {
+// newCoreCounter builds the suite's WSD-H counter. skipTemporal turns off
+// the per-event temporal features; the WSD-H weight never reads them, so the
+// sample, and with it the estimate, is the same either way.
+func newCoreCounter(sp streamSpec, m int, seed int64, skipTemporal bool) (*core.Counter, error) {
 	return core.New(core.Config{
 		M:            m,
 		Pattern:      sp.kind,
 		Weight:       weights.GPSDefault(),
 		Rng:          xrand.New(seed),
-		SkipTemporal: true,
+		SkipTemporal: skipTemporal,
 	})
+}
+
+// newPipeline is the pipeline and binary-decode cells' ingest stack: the
+// core cell's counter owned by one worker goroutine, a one-shard ensemble
+// with a 64-envelope feed.
+func newPipeline(sp streamSpec, seed int64) (*shard.Ensemble, error) {
+	c, err := newCoreCounter(sp, sp.m, seed, true)
+	if err != nil {
+		return nil, err
+	}
+	return shard.New([]shard.Counter{c}, shard.WithBuffer(64))
+}
+
+// feedCore feeds the stream to a bare counter in batches and returns its
+// final estimate.
+func feedCore(c *core.Counter, s stream.Stream) float64 {
+	for lo := 0; lo < len(s); lo += batchSize {
+		c.ProcessBatch(s[lo:min(lo+batchSize, len(s))])
+	}
+	return c.Estimate()
+}
+
+// runCore is the bare-counter cell body: newCoreCounter fed the stream in
+// batches.
+func runCore(skipTemporal bool) func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
+	return func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
+		c, err := newCoreCounter(sp, sp.m, seed, skipTemporal)
+		if err != nil {
+			return 0, err
+		}
+		return feedCore(c, s), nil
+	}
 }
 
 func ingests() []ingestSpec {
@@ -213,16 +252,16 @@ func ingests() []ingestSpec {
 			// The bare single-threaded counter: the floor every layered path
 			// is measured against.
 			name: "core",
-			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				c, err := newCoreCounter(sp, sp.m, seed)
-				if err != nil {
-					return 0, err
-				}
-				for lo := 0; lo < len(s); lo += batchSize {
-					c.ProcessBatch(s[lo:min(lo+batchSize, len(s))])
-				}
-				return c.Estimate(), nil
-			},
+			run:  runCore(true),
+		},
+		{
+			// The core cell with the temporal features computed (state
+			// extraction) under the same WSD-H weight, which ignores them:
+			// its sample and MRE equal core's, so core-temporal - core is
+			// what the features cost.
+			name:    "core-temporal",
+			streams: []string{"dense-community"},
+			run:     runCore(false),
 		},
 		{
 			// The bare counter under a learned WSD-L policy: the weight
@@ -247,21 +286,18 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				for lo := 0; lo < len(s); lo += batchSize {
-					c.ProcessBatch(s[lo:min(lo+batchSize, len(s))])
-				}
-				return c.Estimate(), nil
+				return feedCore(c, s), nil
 			},
 		},
 		{
-			// One worker goroutine behind a channel, batched submits.
+			// One worker goroutine behind a channel (a one-shard
+			// ensemble), batched submits.
 			name: "pipeline",
 			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				c, err := newCoreCounter(sp, sp.m, seed)
+				p, err := newPipeline(sp, seed)
 				if err != nil {
 					return 0, err
 				}
-				p := pipeline.New(c, 64)
 				for lo := 0; lo < len(s); lo += batchSize {
 					if err := p.SubmitBatch(s[lo:min(lo+batchSize, len(s))]); err != nil {
 						return 0, err
@@ -277,7 +313,7 @@ func ingests() []ingestSpec {
 				budgets := shard.SplitBudget(sp.m, 4)
 				counters := make([]shard.Counter, 4)
 				for i := range counters {
-					c, err := newCoreCounter(sp, budgets[i], seed+int64(i))
+					c, err := newCoreCounter(sp, budgets[i], seed+int64(i), true)
 					if err != nil {
 						return 0, err
 					}
@@ -319,10 +355,7 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				for lo := 0; lo < len(s); lo += batchSize {
-					c.ProcessBatch(s[lo:min(lo+batchSize, len(s))])
-				}
-				return c.Estimate(), nil
+				return feedCore(c, s), nil
 			},
 		},
 		{
@@ -337,7 +370,7 @@ func ingests() []ingestSpec {
 				for _, k := range multiPatterns(sp) {
 					spk := sp
 					spk.kind = k
-					c, err := newCoreCounter(spk, sp.m, seed)
+					c, err := newCoreCounter(spk, sp.m, seed, true)
 					if err != nil {
 						return 0, err
 					}
@@ -627,10 +660,7 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				for lo := 0; lo < len(s); lo += batchSize {
-					c.ProcessBatch(s[lo:min(lo+batchSize, len(s))])
-				}
-				return c.Estimate(), nil
+				return feedCore(c, s), nil
 			},
 		},
 		{
@@ -659,22 +689,19 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				for lo := 0; lo < len(s); lo += batchSize {
-					c.ProcessBatch(s[lo:min(lo+batchSize, len(s))])
-				}
-				return c.Estimate(), nil
+				return feedCore(c, s), nil
 			},
 		},
 		{
 			// The wire path: binary frames decoded into pooled batches
-			// feeding a pipeline — what a socket ingester pays end to end.
+			// feeding the pipeline cell's worker — what a socket ingester
+			// pays end to end.
 			name: "binary-decode",
 			run: func(sp streamSpec, s stream.Stream, encoded []byte, seed int64) (float64, error) {
-				c, err := newCoreCounter(sp, sp.m, seed)
+				p, err := newPipeline(sp, seed)
 				if err != nil {
 					return 0, err
 				}
-				p := pipeline.New(c, 64)
 				br, err := stream.NewBinaryReader(bytes.NewReader(encoded))
 				if err != nil {
 					return 0, err

@@ -50,16 +50,23 @@ func TestCompareFlagsAllocRegression(t *testing.T) {
 	if len(regs) != 1 || regs[0].Metric != "allocs_per_event" {
 		t.Fatalf("expected one allocs_per_event regression, got %v", regs)
 	}
-	// Near-zero baselines get the absolute floor: 0 -> 0.2 is noise, not a
-	// regression.
+	// Near-zero baselines get the absolute floor: 0 -> 0.015 is noise, not a
+	// regression, but 0 -> 0.2 (a per-batch allocation creeping back onto an
+	// allocation-free path) is.
 	zeroBase := syntheticReport(map[string]Result{
 		"core/wedge-heavy": {EventsPerSec: 100, AllocsPerEvent: 0, MREVsExact: 0.05},
 	})
 	noisy := syntheticReport(map[string]Result{
-		"core/wedge-heavy": {EventsPerSec: 100, AllocsPerEvent: 0.2, MREVsExact: 0.05},
+		"core/wedge-heavy": {EventsPerSec: 100, AllocsPerEvent: 0.015, MREVsExact: 0.05},
 	})
 	if regs := Compare(zeroBase, noisy, Tolerances{}); len(regs) != 0 {
 		t.Fatalf("sub-floor alloc rise flagged: %v", regs)
+	}
+	crept := syntheticReport(map[string]Result{
+		"core/wedge-heavy": {EventsPerSec: 100, AllocsPerEvent: 0.2, MREVsExact: 0.05},
+	})
+	if regs := Compare(zeroBase, crept, Tolerances{}); len(regs) != 1 || regs[0].Metric != "allocs_per_event" {
+		t.Fatalf("0 -> 0.2 allocs/event not flagged: %v", regs)
 	}
 }
 
@@ -153,6 +160,26 @@ func TestRunSmoke(t *testing.T) {
 
 	if _, err := Run(Config{Seed: 1, Trials: 1, Only: []string{"no-such-workload"}}); err == nil {
 		t.Fatal("unknown workload filter accepted")
+	}
+}
+
+// TestTemporalCellMatchesCore: the WSD-H weight ignores the temporal
+// features, so computing them must not move the sample. core-temporal's MRE
+// equals core's bit for bit, which is what makes their ns/event difference
+// the features' cost and nothing else.
+func TestTemporalCellMatchesCore(t *testing.T) {
+	rep, err := Run(Config{Seed: 1, Trials: 2, Only: []string{
+		"core/dense-community", "core-temporal/dense-community",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 2 {
+		t.Fatalf("want the core and core-temporal cells, got %d results", len(rep.Results))
+	}
+	a, b := rep.Results[0], rep.Results[1]
+	if a.MREVsExact != b.MREVsExact {
+		t.Fatalf("%s MRE %v differs from %s MRE %v", a.Workload, a.MREVsExact, b.Workload, b.MREVsExact)
 	}
 }
 

@@ -14,9 +14,10 @@ type Tolerances struct {
 	// the baseline's laptop) should loosen this, not disable the gate.
 	Throughput float64
 	// Allocs is the allowed relative rise in allocs_per_event (default
-	// 0.10). AllocsFloor is additional absolute slack (default 0.25
-	// allocs/event) so near-zero baselines don't flag on noise; allocation
-	// counts are machine-independent, so this gate stays strict everywhere.
+	// 0.10). AllocsFloor is additional absolute slack (default 0.02
+	// allocs/event, the in-package alloc guards' budget) so near-zero
+	// baselines don't flag on noise; allocation counts are
+	// machine-independent, so this gate stays strict everywhere.
 	Allocs      float64
 	AllocsFloor float64
 	// MRE is the allowed relative rise in mre_vs_exact (default 0.50) with
@@ -29,7 +30,7 @@ type Tolerances struct {
 // DefaultTolerances returns the standard gate: 10% on throughput and
 // allocations, 50% on accuracy.
 func DefaultTolerances() Tolerances {
-	return Tolerances{Throughput: 0.10, Allocs: 0.10, AllocsFloor: 0.25, MRE: 0.50, MREFloor: 0.02}
+	return Tolerances{Throughput: 0.10, Allocs: 0.10, AllocsFloor: 0.02, MRE: 0.50, MREFloor: 0.02}
 }
 
 func (t Tolerances) withDefaults() Tolerances {

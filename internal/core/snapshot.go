@@ -148,8 +148,8 @@ func (c *Counter) Snapshot() *Snapshot {
 // Encode serializes the snapshot to JSON.
 func (s *Snapshot) Encode() ([]byte, error) { return json.Marshal(s) }
 
-// Checkpoint is Snapshot().Encode() in one call: the serialized form ingestion
-// layers (pipeline, shard) store when checkpointing a whole deployment.
+// Checkpoint is Snapshot().Encode() in one call: the serialized form the
+// ingestion layer (shard) stores when checkpointing a whole deployment.
 func (c *Counter) Checkpoint() ([]byte, error) { return c.Snapshot().Encode() }
 
 // DecodeSnapshot parses a snapshot produced by Encode and validates its

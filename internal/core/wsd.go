@@ -355,8 +355,8 @@ func (c *Counter) Process(ev stream.Event) {
 }
 
 // ProcessBatch consumes a slice of events in order. It is semantically
-// identical to calling Process once per event; it exists so ingestion layers
-// (pipeline.Processor, shard.Ensemble) can hand the counter a whole batch and
+// identical to calling Process once per event; it exists so the ingestion
+// layer (shard.Ensemble's workers) can hand the counter a whole batch and
 // amortize their per-event channel and publication overhead against many
 // Process calls.
 func (c *Counter) ProcessBatch(evs []stream.Event) {

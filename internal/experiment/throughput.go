@@ -10,15 +10,15 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
-	"repro/internal/pipeline"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/weights"
 )
 
 // ThroughputResult is the ingestion-throughput comparison: the
-// single-goroutine pipeline versus the sharded ensemble at increasing shard
-// counts, at equal total reservoir memory.
+// single-goroutine pipeline (a one-shard ensemble fed per event) versus the
+// sharded ensemble at increasing shard counts, at equal total reservoir
+// memory.
 type ThroughputResult struct {
 	Table *Table
 }
@@ -44,9 +44,9 @@ func throughputStream(seed int64) stream.Stream {
 }
 
 // Throughput measures ingestion throughput (events/s) and end-of-stream ARE
-// for the single-goroutine pipeline.Processor and for sharded ensembles of
-// 2, 4, and 8 shards at equal total reservoir memory, averaged over
-// p.Trials runs.
+// for the single-goroutine pipeline (one counter behind the per-event Submit
+// path of a one-shard ensemble) and for sharded ensembles of 2, 4, and 8
+// shards at equal total reservoir memory, averaged over p.Trials runs.
 func Throughput(p Profile) (*ThroughputResult, error) {
 	s := throughputStream(p.Seed)
 	ex := exact.New(pattern.FourClique)
@@ -83,7 +83,10 @@ func Throughput(p Profile) (*ThroughputResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			proc := pipeline.New(c, 1024)
+			proc, err := shard.New([]shard.Counter{c}, shard.WithBuffer(1024))
+			if err != nil {
+				return nil, err
+			}
 			start := time.Now()
 			for _, ev := range s {
 				if err := proc.Submit(ev); err != nil {

@@ -21,8 +21,9 @@
 // The ensemble is driven on a worker pool: one goroutine per shard, fed
 // through buffered channels. SubmitBatch broadcasts a batch by reference to
 // all shards (counters only read events), so the per-event ingestion cost is
-// amortized across the batch — the same fast path pipeline.Processor offers,
-// multiplied across shards.
+// amortized across the batch; Submit sends one event by value and allocates
+// nothing. A one-shard ensemble is the single-worker ingestion loop: one
+// counter owned by one goroutine, fed by many producers, read lock-free.
 package shard
 
 import (
@@ -111,11 +112,13 @@ func SplitBudget(total, shards int) []int {
 	return out
 }
 
-// envelope is one feed message: a batch of events (plain or pooled), or a
-// quiesce barrier when sync is non-nil. FIFO order on the feed is what makes
-// the barrier a barrier: when the worker reaches it, every previously
-// enqueued batch has been applied.
+// envelope is one feed message: a single event (single set), a batch of
+// events (plain or pooled), or a quiesce barrier when sync is non-nil. FIFO
+// order on the feed is what makes the barrier a barrier: when the worker
+// reaches it, every previously enqueued event has been applied.
 type envelope struct {
+	ev     stream.Event // the event, when single
+	single bool
 	batch  []stream.Event
 	pooled *stream.Batch // non-nil: batch aliases pooled.Events; release after applying
 	sync   chan struct{} // non-nil: barrier; worker closes it and continues
@@ -156,18 +159,23 @@ func (w *worker) run() {
 			close(env.sync)
 			continue
 		}
-		batch := env.batch
-		if w.batched != nil {
-			w.batched.ProcessBatch(batch)
-		} else {
-			for _, ev := range batch {
+		n := len(env.batch)
+		switch {
+		case env.single:
+			w.counter.Process(env.ev)
+			n = 1
+		case w.batched != nil:
+			w.batched.ProcessBatch(env.batch)
+		default:
+			for _, ev := range env.batch {
 				w.counter.Process(ev)
 			}
 		}
-		w.processed.Add(int64(len(batch)))
+		w.processed.Add(int64(n))
 		if env.pooled != nil {
 			env.pooled.Release()
 		}
+		// One publication per envelope: batches amortize the atomic stores.
 		w.publish()
 	}
 }
@@ -184,6 +192,12 @@ type Ensemble struct {
 	// non-zero for restored ensembles, so Processed reports an absolute
 	// position.
 	base int64
+	// spare caches one K-slot slice for EstimateAt to hand the combiner, so
+	// an estimate reader allocates nothing per read; a reader that finds it
+	// taken by a concurrent one makes its own. A field rather than a
+	// sync.Pool: a pool is registered globally and would keep a closed
+	// ensemble, counters included, alive across the next collection.
+	spare atomic.Pointer[[]float64]
 
 	mu     sync.Mutex
 	closed bool
@@ -198,8 +212,8 @@ type config struct {
 	base    int64
 }
 
-// WithBuffer sets each shard's feed-channel buffer, measured in batches
-// (default 4).
+// WithBuffer sets each shard's feed-channel buffer, measured in envelopes:
+// one Submit event or one whole batch (default 4).
 func WithBuffer(n int) Option {
 	return func(c *config) { c.buffer = n }
 }
@@ -279,27 +293,15 @@ func (e *Ensemble) Shards() int { return len(e.workers) }
 // the same backing array). It returns ErrClosed after Close. Zero-length
 // batches are accepted and ignored.
 func (e *Ensemble) SubmitBatch(evs []stream.Event) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	if len(evs) > 0 {
-		// Holding the lock across the sends keeps SubmitBatch/Close race-free
-		// (Close waits for the lock before closing the feeds) and keeps
-		// batches in the same order on every shard.
-		for _, w := range e.workers {
-			w.feed <- envelope{batch: evs}
-		}
-	}
-	e.mu.Unlock()
-	return nil
+	return e.send(envelope{batch: evs})
 }
 
-// Submit enqueues a single event on every shard. SubmitBatch is the fast
-// path; Submit allocates a one-event batch per call.
+// Submit enqueues a single event on every shard, blocking while any shard's
+// buffer is full. The event travels by value, so Submit allocates nothing;
+// SubmitBatch still amortizes the channel transfer and the estimate
+// publication over a whole batch. It returns ErrClosed after Close.
 func (e *Ensemble) Submit(ev stream.Event) error {
-	return e.SubmitBatch([]stream.Event{ev})
+	return e.send(envelope{ev: ev, single: true})
 }
 
 // SubmitPooled broadcasts a pooled batch to every shard by reference: the
@@ -311,21 +313,37 @@ func (e *Ensemble) Submit(ev stream.Event) error {
 func (e *Ensemble) SubmitPooled(b *stream.Batch) error {
 	if len(b.Events) == 0 {
 		b.Release()
-		return e.SubmitBatch(nil)
+		return e.send(envelope{})
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	err := e.send(envelope{batch: b.Events, pooled: b})
+	if err != nil {
 		b.Release()
+	}
+	return err
+}
+
+// send broadcasts env to every shard's feed, or returns ErrClosed after
+// Close. An envelope carrying no event only reports the closed state, so
+// producers polling with empty batches observe shutdown. A pooled batch gains
+// one reference per extra shard, since every worker releases it.
+func (e *Ensemble) send(env envelope) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return ErrClosed
 	}
-	// As in SubmitBatch: the lock spans the sends so Close cannot close a
-	// feed mid-broadcast and every shard sees batches in the same order.
-	b.Retain(len(e.workers) - 1)
-	for _, w := range e.workers {
-		w.feed <- envelope{batch: b.Events, pooled: b}
+	if !env.single && len(env.batch) == 0 {
+		return nil
 	}
-	e.mu.Unlock()
+	if env.pooled != nil {
+		env.pooled.Retain(len(e.workers) - 1)
+	}
+	// Holding the lock across the sends keeps submissions and Close
+	// race-free (Close waits for the lock before closing the feeds) and
+	// keeps envelopes in the same order on every shard.
+	for _, w := range e.workers {
+		w.feed <- env
+	}
 	return nil
 }
 
@@ -342,11 +360,17 @@ func (e *Ensemble) NumEstimates() int { return e.numEstimates }
 // i (a pattern index, in the shards' Patterns order, for multi-pattern
 // counters). Safe for concurrent use.
 func (e *Ensemble) EstimateAt(i int) float64 {
-	xs := make([]float64, len(e.workers))
-	for j, w := range e.workers {
-		xs[j] = math.Float64frombits(w.estimates[i].Load())
+	xs := e.spare.Swap(nil)
+	if xs == nil {
+		s := make([]float64, len(e.workers))
+		xs = &s
 	}
-	return e.combine(xs)
+	for j, w := range e.workers {
+		(*xs)[j] = math.Float64frombits(w.estimates[i].Load())
+	}
+	x := e.combine(*xs)
+	e.spare.Store(xs)
+	return x
 }
 
 // EstimateVector returns the combined estimate for every index, primary
@@ -355,12 +379,8 @@ func (e *Ensemble) EstimateAt(i int) float64 {
 // vector consistent at a single stream position.
 func (e *Ensemble) EstimateVector() []float64 {
 	out := make([]float64, e.numEstimates)
-	xs := make([]float64, len(e.workers))
 	for i := range out {
-		for j, w := range e.workers {
-			xs[j] = math.Float64frombits(w.estimates[i].Load())
-		}
-		out[i] = e.combine(xs)
+		out[i] = e.EstimateAt(i)
 	}
 	return out
 }
@@ -393,7 +413,7 @@ func (e *Ensemble) Processed() int64 {
 	return e.base + min
 }
 
-// Quiesce drains every batch submitted so far on every shard and then calls
+// Quiesce drains every event submitted so far on every shard and then calls
 // fn once per shard with exclusive access to its counter: no new submissions
 // are accepted while the callbacks run (submitters block on the ensemble
 // lock) and every worker goroutine is parked at its barrier. fn must not
@@ -424,7 +444,7 @@ func (e *Ensemble) Quiesce(fn func(i int, c Counter) error) error {
 	return nil
 }
 
-// Flush drains every batch submitted so far on every shard and returns: a
+// Flush drains every event submitted so far on every shard and returns: a
 // pure position barrier. After it returns, Processed and the estimate
 // reflect every prior Submit. Callers that only need "has the ensemble
 // applied my stream?" should prefer this over Snapshot, which pays for a
@@ -524,7 +544,7 @@ func Restore(data []byte, build func(i int, shard []byte) (Counter, error), opts
 	return New(counters, opts...)
 }
 
-// Close drains all pending batches, stops the workers, and returns the final
+// Close drains all pending events, stops the workers, and returns the final
 // combined estimate. Subsequent submissions fail with ErrClosed; Close is
 // idempotent.
 func (e *Ensemble) Close() float64 {

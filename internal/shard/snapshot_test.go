@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -108,20 +110,26 @@ func TestQuiesceSemantics(t *testing.T) {
 	if err := e.SubmitBatch(s); err != nil {
 		t.Fatal(err)
 	}
-	// Quiesce must observe every submitted event applied on every shard.
-	calls := 0
+	// Quiesce must observe every submitted event applied on every shard, and
+	// the counters it hands out must hold the published estimates.
+	var seen []float64
 	err = e.Quiesce(func(i int, c Counter) error {
-		calls++
+		seen = append(seen, c.Estimate())
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("quiesce visited %d shards, want 3", calls)
+	if len(seen) != 3 {
+		t.Fatalf("quiesce visited %d shards, want 3", len(seen))
 	}
 	if got := e.Processed(); got != int64(len(s)) {
 		t.Fatalf("after quiesce, processed %d of %d events", got, len(s))
+	}
+	for i, est := range e.Estimates() {
+		if est != seen[i] {
+			t.Fatalf("shard %d: quiesced estimate %v, published %v", i, seen[i], est)
+		}
 	}
 	e.Close()
 	if err := e.Quiesce(func(int, Counter) error { return nil }); err != ErrClosed {
@@ -135,68 +143,79 @@ func TestQuiesceSemantics(t *testing.T) {
 // TestConcurrentSubmitBatchSnapshotClose is the ensemble chaos test under
 // the race detector: single submits, batch submits, estimate readers,
 // snapshots, and a racing Close, all at once. Every operation must either
-// succeed or fail with ErrClosed; nothing may deadlock or tear state.
+// succeed or fail with ErrClosed, nothing may deadlock or tear state, and
+// every submission that succeeded must be applied.
 func TestConcurrentSubmitBatchSnapshotClose(t *testing.T) {
 	edges := gen.BarabasiAlbert(300, 4, rand.New(rand.NewSource(6)))
 	s := stream.LightDeletion(edges, 0.2, rand.New(rand.NewSource(7)))
-	e, err := New(xrandCounters(t, 3, 60), WithBuffer(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			e, err := New(xrandCounters(t, k, 60), WithBuffer(2))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var wg sync.WaitGroup
-	for p := 0; p < 3; p++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			for i := off; i < len(s); i += 3 {
-				if err := e.Submit(s[i]); err != nil {
-					if err != ErrClosed {
-						t.Errorf("Submit: %v", err)
+			var accepted atomic.Int64
+			var wg sync.WaitGroup
+			for p := 0; p < 3; p++ {
+				wg.Add(1)
+				go func(off int) {
+					defer wg.Done()
+					for i := off; i < len(s); i += 3 {
+						if err := e.Submit(s[i]); err != nil {
+							if err != ErrClosed {
+								t.Errorf("Submit: %v", err)
+							}
+							return
+						}
+						accepted.Add(1)
 					}
-					return
-				}
-			}
-		}(p)
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			for lo := off * 64; lo+16 <= len(s); lo += 192 {
-				if err := e.SubmitBatch(s[lo : lo+16]); err != nil {
-					if err != ErrClosed {
-						t.Errorf("SubmitBatch: %v", err)
+				}(p)
+				wg.Add(1)
+				go func(off int) {
+					defer wg.Done()
+					for lo := off * 64; lo+16 <= len(s); lo += 192 {
+						if err := e.SubmitBatch(s[lo : lo+16]); err != nil {
+							if err != ErrClosed {
+								t.Errorf("SubmitBatch: %v", err)
+							}
+							return
+						}
+						accepted.Add(16)
 					}
-					return
+				}(p)
+			}
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						_ = e.Estimate()
+						_ = e.Processed()
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					if _, err := e.Snapshot(); err != nil && err != ErrClosed {
+						t.Errorf("Snapshot: %v", err)
+						return
+					}
 				}
+			}()
+			for e.Processed() == 0 {
 			}
-		}(p)
-	}
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = e.Estimate()
-				_ = e.Processed()
+			e.Close()
+			wg.Wait()
+			if again := e.Close(); again != e.Estimate() { // idempotent
+				t.Fatalf("second Close returned %v, estimate %v", again, e.Estimate())
 			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			if _, err := e.Snapshot(); err != nil && err != ErrClosed {
-				t.Errorf("Snapshot: %v", err)
-				return
+			if got := e.Processed(); got != accepted.Load() {
+				t.Fatalf("processed %d, accepted %d", got, accepted.Load())
 			}
-		}
-	}()
-	for e.Processed() == 0 {
-	}
-	e.Close()
-	wg.Wait()
-	if again := e.Close(); again != e.Estimate() { // idempotent
-		t.Fatalf("second Close returned %v, estimate %v", again, e.Estimate())
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -46,46 +47,52 @@ func newMultiEnsemble(t *testing.T, shards, m int, seed int64) *Ensemble {
 }
 
 // TestEnsembleVector: a multi-pattern ensemble combines each pattern's
-// estimates across shards exactly as direct counters would.
+// estimates across shards exactly as direct counters would; with one shard it
+// publishes the counter's own vector.
 func TestEnsembleVector(t *testing.T) {
 	s := vectorStream(t, 3, 500)
-	const shards, m = 3, 128
+	const m = 128
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("k%d", shards), func(t *testing.T) {
+			direct := make([]*core.Counter, shards)
+			for i := range direct {
+				direct[i] = newMultiShard(t, m, 20+int64(i))
+				direct[i].ProcessBatch(s)
+			}
 
-	direct := make([]*core.Counter, shards)
-	for i := range direct {
-		direct[i] = newMultiShard(t, m, 20+int64(i))
-		direct[i].ProcessBatch(s)
+			e := newMultiEnsemble(t, shards, m, 20)
+			if e.NumEstimates() != len(vectorKinds) {
+				t.Fatalf("NumEstimates = %d, want %d", e.NumEstimates(), len(vectorKinds))
+			}
+			for lo := 0; lo < len(s); lo += 100 {
+				if err := e.SubmitBatch(s[lo:min(lo+100, len(s))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Quiesce(func(int, Counter) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			vec := e.EstimateVector()
+			for i, k := range vectorKinds {
+				want := 0.0
+				for _, d := range direct {
+					est, _ := d.EstimateOf(k)
+					want += est
+				}
+				want /= float64(shards)
+				if vec[i] != want {
+					t.Fatalf("%s: ensemble %v, direct mean %v", k, vec[i], want)
+				}
+				if e.EstimateAt(i) != want {
+					t.Fatalf("%s: EstimateAt %v, want %v", k, e.EstimateAt(i), want)
+				}
+			}
+			if e.Estimate() != vec[0] {
+				t.Fatalf("primary estimate %v, vector[0] %v", e.Estimate(), vec[0])
+			}
+			e.Close()
+		})
 	}
-
-	e := newMultiEnsemble(t, shards, m, 20)
-	if e.NumEstimates() != len(vectorKinds) {
-		t.Fatalf("NumEstimates = %d, want %d", e.NumEstimates(), len(vectorKinds))
-	}
-	if err := e.SubmitBatch(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Quiesce(func(int, Counter) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	vec := e.EstimateVector()
-	for i, k := range vectorKinds {
-		want := 0.0
-		for _, d := range direct {
-			est, _ := d.EstimateOf(k)
-			want += est
-		}
-		want /= shards
-		if vec[i] != want {
-			t.Fatalf("%s: ensemble %v, direct mean %v", k, vec[i], want)
-		}
-		if e.EstimateAt(i) != want {
-			t.Fatalf("%s: EstimateAt %v, want %v", k, e.EstimateAt(i), want)
-		}
-	}
-	if e.Estimate() != vec[0] {
-		t.Fatalf("primary estimate %v, vector[0] %v", e.Estimate(), vec[0])
-	}
-	e.Close()
 }
 
 // TestEnsembleRejectsMixedWidths: shards publishing different estimate
@@ -109,42 +116,45 @@ func TestEnsembleRejectsMixedWidths(t *testing.T) {
 func TestEnsembleVectorSnapshotResume(t *testing.T) {
 	s := vectorStream(t, 17, 600)
 	cut := len(s) / 2
-	const shards, m = 3, 100
+	const m = 100
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("k%d", shards), func(t *testing.T) {
+			whole := newMultiEnsemble(t, shards, m, 40)
+			if err := whole.SubmitBatch(s); err != nil {
+				t.Fatal(err)
+			}
+			whole.Close()
 
-	whole := newMultiEnsemble(t, shards, m, 40)
-	if err := whole.SubmitBatch(s); err != nil {
-		t.Fatal(err)
-	}
-	whole.Close()
+			e := newMultiEnsemble(t, shards, m, 40)
+			if err := e.SubmitBatch(s[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
 
-	e := newMultiEnsemble(t, shards, m, 40)
-	if err := e.SubmitBatch(s[:cut]); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
+			restored, err := Restore(blob, func(i int, raw []byte) (Counter, error) {
+				snap, err := core.DecodeSnapshot(raw)
+				if err != nil {
+					return nil, err
+				}
+				return core.Restore(snap, core.Config{Weight: weights.GPSDefault(), SkipTemporal: true})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.SubmitBatch(s[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			restored.Close()
 
-	restored, err := Restore(blob, func(i int, raw []byte) (Counter, error) {
-		snap, err := core.DecodeSnapshot(raw)
-		if err != nil {
-			return nil, err
-		}
-		return core.Restore(snap, core.Config{Weight: weights.GPSDefault(), SkipTemporal: true})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.SubmitBatch(s[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	restored.Close()
-
-	for i, k := range vectorKinds {
-		if got, want := restored.EstimateAt(i), whole.EstimateAt(i); got != want {
-			t.Fatalf("%s: resumed %v, uninterrupted %v", k, got, want)
-		}
+			for i, k := range vectorKinds {
+				if got, want := restored.EstimateAt(i), whole.EstimateAt(i); got != want {
+					t.Fatalf("%s: resumed %v, uninterrupted %v", k, got, want)
+				}
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Batch is a refcounted, pool-recycled batch of events: the zero-allocation
 // currency between stream producers (the binary decoder, socket readers) and
-// the ingestion layers (pipeline.Processor, shard.Ensemble). A producer gets
+// the ingestion layer (shard.Ensemble, of one or more workers). A producer gets
 // a Batch from a BatchPool, fills Events, and hands it to a pooled submit
 // (SubmitPooled); the consumer releases it after applying the events, which
 // returns the buffer to the pool once every holder is done. The shard

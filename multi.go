@@ -87,10 +87,11 @@ func (c *MultiCounter) Core() *core.Counter { return c.inner }
 // construction, while a learned policy is revived from the blob itself when
 // no explicit weight option is given; the patterns, budget, estimates,
 // temporal mode, and RNG state come from the blob, and the restored counter
-// continues bit-identically on every pattern.
+// continues bit-identically on every pattern. The Snapshot blob of a
+// Processor wrapping a multi-pattern counter's Core restores here too.
 func RestoreMultiCounter(data []byte, opts ...Option) (*MultiCounter, error) {
 	o := newOptions(opts)
-	snap, err := core.DecodeSnapshot(data)
+	snap, err := decodeCounterBlob(data, core.DecodeSnapshot)
 	if err != nil {
 		return nil, err
 	}

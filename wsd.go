@@ -33,7 +33,6 @@ import (
 	"repro/internal/local"
 	"repro/internal/partition"
 	"repro/internal/pattern"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/rl"
 	"repro/internal/shard"
@@ -415,15 +414,27 @@ type Batch = stream.Batch
 type BatchPool = stream.BatchPool
 
 // Processor ingests events from concurrent producers and publishes the
-// running estimate for lock-free readers; see NewProcessor. Submit enqueues
-// one event; SubmitBatch is the amortized fast path and SubmitPooled its
-// zero-allocation variant over pooled batches.
-type Processor = pipeline.Processor
+// running estimate for lock-free readers; see NewProcessor. It is a
+// ShardedCounter of one shard: Submit enqueues one event without allocating,
+// SubmitBatch is the amortized fast path and SubmitPooled its zero-allocation
+// variant over pooled batches. Quiesce hands the callback the counter as
+// shard 0. Snapshot returns a one-shard ensemble blob: RestoreShardedCounter
+// revives it as a sharded counter, and RestoreCounter, RestoreLocalCounter
+// or RestoreMultiCounter (matching the wrapped counter) revive the counter
+// itself, ready for a new NewProcessor.
+type Processor = ShardedCounter
 
 // NewProcessor wraps a counter in a dedicated ingestion goroutine with the
-// given channel buffer. The counter must not be used directly afterwards.
+// given channel buffer, measured in envelopes (one Submit event or one whole
+// batch). The counter must not be used directly afterwards; c must not be
+// nil.
 func NewProcessor(c Counter, buffer int) *Processor {
-	return pipeline.New(c, buffer)
+	p, err := shard.New([]shard.Counter{c}, shard.WithBuffer(buffer))
+	if err != nil {
+		// One counter can only fail the nil check: a caller bug.
+		panic(err)
+	}
+	return p
 }
 
 // ShardedCounter is an ensemble of independently seeded WSD counters driven
@@ -508,18 +519,20 @@ func shardOptions(o *options) []shard.Option {
 // Checkpointable is implemented by counters whose complete state — reservoir,
 // thresholds, temporal bookkeeping, and RNG state — serializes to bytes. The
 // counters returned by NewCounter, NewLocalCounter, and NewMultiCounter
-// implement it, and so do Processor (Snapshot) and ShardedCounter (Snapshot)
-// at the ingestion layer.
+// implement it. The ingestion layers (Processor, ShardedCounter) do not:
+// they checkpoint through their own Snapshot method. A Processor's Snapshot
+// blob restores through the wrapped counter's own Restore function, and the
+// counter's own bytes stay reachable by calling Checkpoint inside Quiesce.
 // A counter restored from a checkpoint continues bit-identically to the
 // uninterrupted run: same sample trajectory, same estimates.
 type Checkpointable interface {
 	Checkpoint() ([]byte, error)
 }
 
-// Checkpoint serializes a counter's complete state. It accepts any of the
-// package's counters — single, local, multi-pattern, or an ingestion layer —
-// and fails for counters that do not support checkpointing (e.g. the exact
-// oracle).
+// Checkpoint serializes a counter's complete state. It accepts the
+// package's counters — single, local, or multi-pattern — and fails for
+// values that do not implement Checkpointable: the exact oracle, and the
+// ingestion layers, whose Snapshot method serves instead.
 func Checkpoint(c any) ([]byte, error) {
 	ck, ok := c.(Checkpointable)
 	if !ok {
@@ -538,9 +551,12 @@ func Checkpoint(c any) ([]byte, error) {
 // and is revived automatically when no explicit weight option is given. The
 // RNG state comes from the checkpoint, making the restored counter's future
 // trajectory bit-identical to the uninterrupted one.
+//
+// The Snapshot blob of a Processor wrapping such a counter restores here
+// too: a one-shard ensemble blob is unwrapped to its shard's counter bytes.
 func RestoreCounter(data []byte, opts ...Option) (Counter, error) {
 	o := newOptions(opts)
-	snap, err := core.DecodeSnapshot(data)
+	snap, err := decodeCounterBlob(data, core.DecodeSnapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -552,13 +568,15 @@ func RestoreCounter(data []byte, opts ...Option) (Counter, error) {
 }
 
 // RestoreLocalCounter revives a local counter from a Checkpoint blob produced
-// by a NewLocalCounter counter, per-vertex estimates included.
+// by a NewLocalCounter counter, per-vertex estimates included. Like
+// RestoreCounter it also accepts the Snapshot blob of a Processor wrapping
+// such a counter.
 func RestoreLocalCounter(data []byte, opts ...Option) (*LocalCounter, error) {
 	o := newOptions(opts)
 	if o.window != 0 || o.halflife != 0 {
 		return nil, fmt.Errorf("wsd: local counters do not support WithWindow/WithDecay")
 	}
-	snap, err := local.DecodeSnapshot(data)
+	snap, err := decodeCounterBlob(data, local.DecodeSnapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -567,6 +585,21 @@ func RestoreLocalCounter(data []byte, opts ...Option) (*LocalCounter, error) {
 		return nil, err
 	}
 	return local.Restore(snap, cfg)
+}
+
+// decodeCounterBlob decodes a single counter's snapshot with decode. When
+// that fails and data is a one-shard ensemble blob — what Processor.Snapshot
+// returns — it decodes the shard's counter bytes instead, so the plain
+// restores revive the counter a Processor wrapped. The ensemble probe runs
+// only after the direct decode has failed, so Checkpoint blobs pay one parse.
+func decodeCounterBlob[S any](data []byte, decode func([]byte) (S, error)) (S, error) {
+	s, err := decode(data)
+	if err != nil {
+		if snap, perr := shard.DecodeEnsembleSnapshot(data); perr == nil && len(snap.Shards) == 1 {
+			return decode(snap.Shards[0])
+		}
+	}
+	return s, err
 }
 
 // ShardedSnapshotInfo summarizes a ShardedCounter snapshot blob without
@@ -624,6 +657,9 @@ func decodeShardedSnapshot(data []byte) ([]*core.Snapshot, ShardedSnapshotInfo, 
 	for i, raw := range snap.Shards {
 		cs, err := core.DecodeSnapshot(raw)
 		if err != nil {
+			if _, lerr := local.DecodeSnapshot(raw); lerr == nil {
+				return nil, ShardedSnapshotInfo{}, fmt.Errorf("wsd: shard %d holds a local counter, which a sharded counter cannot run; restore a Processor's snapshot of a local counter with RestoreLocalCounter", i)
+			}
 			return nil, ShardedSnapshotInfo{}, fmt.Errorf("wsd: shard %d: %w", i, err)
 		}
 		if i == 0 {

@@ -8,6 +8,7 @@ import (
 	wsd "repro"
 
 	"repro/internal/gen"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -185,10 +186,37 @@ func TestProcessorFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The wrapped counter is shard 0 of a one-shard ensemble; its own
+	// checkpoint stays reachable inside Quiesce.
+	var blob []byte
+	if err := p.Quiesce(func(i int, sc shard.Counter) error {
+		if i != 0 {
+			t.Errorf("quiesce visited shard %d of a Processor", i)
+		}
+		var err error
+		blob, err = wsd.Checkpoint(sc)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if got := p.Close(); got != 1 {
 		t.Fatalf("final estimate = %v, want 1", got)
 	}
 	if p.Processed() != 3 {
 		t.Fatalf("processed = %d, want 3", p.Processed())
 	}
+	restored, err := wsd.RestoreCounter(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Estimate() != 1 {
+		t.Fatalf("counter checkpointed inside Quiesce restores to %v, want 1", restored.Estimate())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewProcessor(nil) did not panic")
+		}
+	}()
+	wsd.NewProcessor(nil, 1)
 }
