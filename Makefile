@@ -30,8 +30,8 @@ bench-selftest:
 
 # The documentation gate: formatting, vet, the godoc lint (undocumented
 # facade exports, packages without doc comments), the relative-link check
-# over README/ARCHITECTURE/docs, and the cmd/* flag-coverage check against
-# docs/operations.md. CI runs this on every push.
+# over README/ARCHITECTURE/docs, and the cmd/* flag and internal/serve route
+# coverage checks against docs/operations.md. CI runs this on every push.
 docs-check: fmt vet
 	$(GO) run ./cmd/docslint -root .
 

@@ -1,5 +1,5 @@
 // Command docslint is the documentation gate behind `make docs-check`. It
-// enforces three invariants the prose documentation system depends on:
+// enforces five invariants the prose documentation system depends on:
 //
 //  1. Every exported identifier in the facade package (the module root) has
 //     a doc comment — the facade is the supported API surface, and an
@@ -12,6 +12,10 @@
 //     (flag.String/Int/Bool/Duration/... in its main.go) is documented in
 //     docs/operations.md, inside that binary's section — the operator
 //     guide's flag tables are complete by construction, not by discipline.
+//  5. Every HTTP route the serving layer registers (each "METHOD /path"
+//     string in internal/serve: the shared route table and each mode's
+//     extra routes) appears in the "Endpoints (both modes)" table of
+//     docs/operations.md.
 //
 // It prints one line per violation and exits 1 if any were found.
 //
@@ -54,6 +58,9 @@ func main() {
 		fatal(err)
 	}
 	if err := lintFlagDocs(*root, report); err != nil {
+		fatal(err)
+	}
+	if err := lintRouteDocs(*root, report); err != nil {
 		fatal(err)
 	}
 
@@ -367,6 +374,55 @@ func matchesWord(s, word string) bool {
 func isWordByte(b byte) bool {
 	return b == '_' || b == '-' ||
 		('a' <= b && b <= 'z') || ('A' <= b && b <= 'Z') || ('0' <= b && b <= '9')
+}
+
+// routePattern matches a net/http mux pattern with a method: "GET /healthz".
+var routePattern = regexp.MustCompile(`^(GET|HEAD|POST|PUT|PATCH|DELETE) /\S*$`)
+
+// endpointsHeading names the operations guide's endpoint table.
+const endpointsHeading = "Endpoints (both modes)"
+
+// lintRouteDocs checks that every route the serving layer registers is a row
+// of the operations guide's endpoint table. Routes are found as string
+// literals shaped like mux patterns in internal/serve's non-test files, so a
+// route added to the table or to a mode's extras cannot ship undocumented.
+func lintRouteDocs(root string, report func(string, ...any)) error {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, filepath.Join(root, "internal", "serve"), func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil // no serving layer, nothing to check
+		}
+		return err
+	}
+	var routes []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil && routePattern.MatchString(v) {
+						routes = append(routes, v)
+					}
+				}
+				return true
+			})
+		}
+	}
+	opsPath := filepath.Join(root, "docs", "operations.md")
+	ops, err := os.ReadFile(opsPath)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	// A missing guide or section leaves table empty, so every route reports.
+	table, _ := binarySection(string(ops), endpointsHeading)
+	for _, rt := range routes {
+		if !strings.Contains(table, "`"+rt+"`") {
+			report("%s: route %s of internal/serve is not documented in the %q table", opsPath, rt, endpointsHeading)
+		}
+	}
+	return nil
 }
 
 // mdLink matches markdown inline links and images; group 1 is the target.

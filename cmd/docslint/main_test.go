@@ -244,6 +244,49 @@ func TestBinarySectionIgnoresFencedCode(t *testing.T) {
 	}
 }
 
+func TestRouteDocsLint(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "internal/serve/routes.go", `package serve
+
+var routes = []string{"GET /healthz", "POST /ingest", "PUT /policy"}
+
+// Extra routes count too; an error message naming a route does not.
+var extra = map[string]int{"DELETE /policy/shadow": 1}
+
+var msg = "serve: DELETE /policy/shadow first"
+`)
+	write(t, root, "internal/serve/routes_test.go", `package serve
+
+var testOnly = "GET /not-a-route"
+`)
+	write(t, root, "docs/operations.md", `# Operations
+
+### Endpoints (both modes)
+
+| endpoint | reply |
+|---|---|
+| `+"`GET /healthz`"+` | readiness |
+| `+"`POST /ingest`"+` | events |
+
+### Later
+
+`+"`PUT /policy`"+` mentioned outside the table counts for nothing.
+`)
+	report, problems := collect()
+	if err := lintRouteDocs(root, report); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(*problems, "\n")
+	for _, want := range []string{"route PUT /policy", "route DELETE /policy/shadow"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("lint missed %q in:\n%s", want, got)
+		}
+	}
+	if len(*problems) != 2 {
+		t.Errorf("problems = %v, want exactly the 2 undocumented routes", *problems)
+	}
+}
+
 // TestRepositoryIsClean runs the linter over the real repository: the gate CI
 // enforces, as a test, so `go test ./...` catches doc rot even without make.
 func TestRepositoryIsClean(t *testing.T) {
@@ -259,6 +302,9 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := lintFlagDocs(root, report); err != nil {
+		t.Fatal(err)
+	}
+	if err := lintRouteDocs(root, report); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range *problems {

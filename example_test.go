@@ -160,6 +160,38 @@ func ExampleProcessor_SubmitBatch() {
 	// 1
 }
 
+// Quiesce drains everything submitted so far and hands the wrapped counter
+// to the callback as shard 0, where its own checkpoint is reachable.
+func ExampleProcessor_Quiesce() {
+	c, err := wsd.NewTriangleCounter(1000, wsd.WithSeed(42))
+	if err != nil {
+		panic(err)
+	}
+	p := wsd.NewProcessor(c, 64)
+	if err := p.SubmitBatch([]wsd.Event{
+		wsd.Insert(1, 2), wsd.Insert(2, 3), wsd.Insert(1, 3),
+	}); err != nil {
+		panic(err)
+	}
+	var blob []byte
+	if err := p.Quiesce(func(i int, sc wsd.ShardCounter) error {
+		fmt.Println("shard", i, "estimate", sc.Estimate())
+		blob, err = wsd.Checkpoint(sc)
+		return err
+	}); err != nil {
+		panic(err)
+	}
+	p.Close()
+	restored, err := wsd.RestoreCounter(blob)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(restored.Estimate())
+	// Output:
+	// shard 0 estimate 1
+	// 1
+}
+
 // The exact counter is the ground-truth companion for validation at small
 // scale.
 func ExampleNewExactCounter() {

@@ -187,9 +187,11 @@ func TestTemporalCellMatchesCore(t *testing.T) {
 // budget: evaluating the WSD-L policy on the hot path (state extraction plus
 // a linear model per insertion) must stay allocation-free, so the cell's
 // whole-stack figure is bounded by the same batching overhead the plain core
-// cell pays plus headroom for temporal-feature bookkeeping. A regression here
-// means a policy swap silently puts the garbage collector back on the ingest
-// path.
+// cell pays. The cell measures 0.0167 allocs/event at Seed 1, Trials 1
+// (identical across runs), so 0.03 leaves under 2x headroom: an allocation of
+// even 0.02/event creeping onto the learned-weight path fails here. A
+// regression means a policy swap silently puts the garbage collector back on
+// the ingest path.
 func TestPolicyCellAllocBudget(t *testing.T) {
 	rep, err := Run(Config{Seed: 1, Trials: 1, Only: []string{"core-wsdl"}})
 	if err != nil {
@@ -199,7 +201,7 @@ func TestPolicyCellAllocBudget(t *testing.T) {
 		t.Fatalf("want exactly the core-wsdl cell, got %d results", len(rep.Results))
 	}
 	r := rep.Results[0]
-	const budget = 0.32
+	const budget = 0.03
 	if r.AllocsPerEvent > budget {
 		t.Fatalf("core-wsdl allocates %.3f allocs/event, budget %.2f", r.AllocsPerEvent, budget)
 	}

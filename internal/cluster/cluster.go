@@ -160,6 +160,12 @@ var ErrPartialRestore = errors.New("cluster: restore incomplete")
 // marked inconsistent; heal with a cluster Restore or a retried swap.
 var ErrPartialSwap = errors.New("cluster: policy swap incomplete")
 
+// ErrPolicyRejected wraps a policy swap refused whole: the artifact failed
+// local validation, or every worker validated and rejected it (e.g. its
+// pattern does not match the deployment). No worker changed, so the fleet
+// still runs one weight function; the error is the client's.
+var ErrPolicyRejected = errors.New("cluster: policy rejected")
+
 // ErrCatchUpIncomplete wraps a CatchUp (or post-restore replay) that left
 // some worker behind the log end: unreachable, mid-replay failure, or
 // inconsistent. Lagging workers are retried automatically at the next
@@ -1366,15 +1372,16 @@ func positionMark(lg *wal.Log, mark *WALMark) (*WALMark, error) {
 // restore it first).
 //
 // The artifact is decoded and validated locally first: a malformed blob is a
-// plain client error and no worker is contacted. If every worker validated
-// and rejected the artifact (4xx) nothing was applied anywhere and the fleet
-// stays uniform; the error is again the client's. Any other failure after at
-// least one worker swapped leaves the fleet running two weight functions: the
-// failed workers are marked inconsistent (excluded from reads) and the error
-// wraps ErrPartialSwap — retry the swap or Restore to heal.
+// client error wrapping ErrPolicyRejected and no worker is contacted. If
+// every worker validated and rejected the artifact (4xx) nothing was applied
+// anywhere and the fleet stays uniform; the error again wraps
+// ErrPolicyRejected. Any other failure after at least one worker swapped
+// leaves the fleet running two weight functions: the failed workers are
+// marked inconsistent (excluded from reads) and the error wraps
+// ErrPartialSwap — retry the swap or Restore to heal.
 func (c *Coordinator) SwapPolicy(artifact []byte) error {
 	if _, err := policy.Decode(artifact); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrPolicyRejected, err)
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -1414,7 +1421,7 @@ func (c *Coordinator) SwapPolicy(artifact []byte) error {
 		// Every worker validated the artifact whole and rejected it (e.g. the
 		// pattern does not match the deployment): nothing changed anywhere, the
 		// fleet still runs one weight function.
-		return fmt.Errorf("cluster: policy rejected by workers: %v", firstErr)
+		return fmt.Errorf("%w by workers: %v", ErrPolicyRejected, firstErr)
 	}
 	for i, err := range errs {
 		if err != nil {

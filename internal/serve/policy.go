@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -78,35 +78,25 @@ func (sh *shadowRun) failure() error {
 	return sh.err
 }
 
-// readArtifact reads and decodes a policy artifact request body, writing the
-// HTTP error itself on failure. The artifact's pattern must match the
-// server's primary pattern — the MDP state vector is pattern-sized, so a
-// mismatched policy would be fed garbage.
-func (s *Server) readArtifact(w http.ResponseWriter, r *http.Request) (*policy.Artifact, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// artifact decodes a policy artifact request body. The artifact's pattern
+// must match the server's primary pattern — the MDP state vector is
+// pattern-sized, so a mismatched policy would be fed garbage. Either failure
+// is a 400.
+func (s *Server) artifact(body []byte) (*policy.Artifact, error) {
+	art, err := policy.Decode(body)
 	if err != nil {
-		if isBodyTooLarge(err) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
-		return nil, false
-	}
-	art, err := policy.Decode(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
+		return nil, withStatus(http.StatusBadRequest, err)
 	}
 	if art.Pattern != s.patterns[0] {
-		http.Error(w, fmt.Sprintf("serve: policy artifact is trained for %s, server's primary pattern is %s", art.Pattern, s.patterns[0]), http.StatusBadRequest)
-		return nil, false
+		return nil, withStatus(http.StatusBadRequest,
+			fmt.Errorf("serve: policy artifact is trained for %s, server's primary pattern is %s", art.Pattern, s.patterns[0]))
 	}
-	return art, true
+	return art, nil
 }
 
-// handlePolicyGet serves the active policy's identity and provenance, or the
+// getPolicy serves the active policy's identity and provenance, or the
 // heuristic marker when no learned policy is running.
-func (s *Server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) getPolicy() (any, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	reply := map[string]any{
@@ -127,25 +117,24 @@ func (s *Server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 	if sh := s.shadow; sh != nil {
 		reply["shadow"] = sh.art.ID()
 	}
-	writeJSON(w, reply)
+	return reply, nil
 }
 
-// handlePolicySwap hot-swaps the live counter's weight function to the
-// artifact in the request body. The swap runs under the ensemble's quiesce
-// barrier: every in-flight batch is drained first, the reservoir state is
-// untouched, and the new weights affect only future events — the estimator
-// stays unbiased across the swap. A successful swap cancels any running
-// shadow evaluation (its comparison target just changed).
-func (s *Server) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
-	art, ok := s.readArtifact(w, r)
-	if !ok {
-		return
+// putPolicy hot-swaps the live counter's weight function to the artifact in
+// the request body. The swap runs under the ensemble's quiesce barrier: every
+// in-flight batch is drained first, the reservoir state is untouched, and the
+// new weights affect only future events — the estimator stays unbiased across
+// the swap. A successful swap cancels any running shadow evaluation (its
+// comparison target just changed).
+func (s *Server) putPolicy(body []byte) (any, error) {
+	art, err := s.artifact(body)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	if err := wsd.SwapPolicy(s.ens, art.Policy); err != nil {
 		s.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil, withStatus(http.StatusInternalServerError, err)
 	}
 	s.policy = statusFromArtifact(art, policySourceSwap)
 	oldShadow := s.shadow
@@ -163,17 +152,20 @@ func (s *Server) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
 	if oldShadow != nil {
 		reply["shadow_stopped"] = oldShadow.art.ID()
 	}
-	writeJSON(w, reply)
+	return reply, nil
 }
 
-// handleShadowStart attaches a candidate-policy shadow counter: a second
-// ensemble with the live configuration plus the candidate policy, fed every
-// event accepted from here on. One shadow at a time — stop (or promote) the
-// current one first.
-func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
-	art, ok := s.readArtifact(w, r)
-	if !ok {
-		return
+// errNoShadow answers the shadow report and stop routes when nothing runs.
+var errNoShadow = withStatus(http.StatusNotFound, errors.New("serve: no shadow evaluation is running"))
+
+// startShadow attaches a candidate-policy shadow counter: a second ensemble
+// with the live configuration plus the candidate policy, fed every event
+// accepted from here on. One shadow at a time — stop (or promote) the
+// current one first (409).
+func (s *Server) startShadow(body []byte) (any, error) {
+	art, err := s.artifact(body)
+	if err != nil {
+		return nil, err
 	}
 	// Build the candidate ensemble outside the locks; only the attach needs
 	// them. Mirrors New: the candidate policy rides on a clipped copy of the
@@ -182,8 +174,7 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 	opts := append(s.cfg.Options[:len(s.cfg.Options):len(s.cfg.Options)], wsd.WithPolicy(art.Policy))
 	ens, err := wsd.NewShardedMultiCounter(s.patterns, s.cfg.M, s.cfg.Shards, opts...)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err // the route's fallback: 400
 	}
 	s.posMu.Lock()
 	s.mu.Lock()
@@ -192,40 +183,37 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.posMu.Unlock()
 		ens.Close()
-		http.Error(w, fmt.Sprintf("serve: a shadow evaluation of policy %s is already running; DELETE /policy/shadow first", active), http.StatusConflict)
-		return
+		return nil, withStatus(http.StatusConflict,
+			fmt.Errorf("serve: a shadow evaluation of policy %s is already running; DELETE /policy/shadow first", active))
 	}
 	sh := &shadowRun{art: art, ens: ens, attachedAt: s.streamPos.Load()}
 	s.shadow = sh
 	s.mu.Unlock()
 	s.posMu.Unlock()
-	writeJSON(w, map[string]any{
+	return map[string]any{
 		"shadow":      true,
 		"id":          art.ID(),
 		"attached_at": sh.attachedAt,
-	})
+	}, nil
 }
 
-// handleShadowReport serves the live-vs-shadow comparison: both ensembles are
+// shadowReport serves the live-vs-shadow comparison: both ensembles are
 // flushed (so the estimates reflect every accepted event) and reported side
 // by side with their relative delta. The exact-oracle scoring of a candidate
 // runs offline on a seeded replay (wsdbench -exp policy); this endpoint is
 // the online comparison over the production stream, where no oracle exists.
-func (s *Server) handleShadowReport(w http.ResponseWriter, r *http.Request) {
+func (s *Server) shadowReport() (any, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sh := s.shadow
 	if sh == nil {
-		http.Error(w, "serve: no shadow evaluation is running", http.StatusNotFound)
-		return
+		return nil, errNoShadow
 	}
 	if err := s.ens.Flush(); err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+		return nil, err
 	}
 	if err := sh.ens.Flush(); err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+		return nil, err
 	}
 	live, cand := s.ens.Estimate(), sh.ens.Estimate()
 	reply := map[string]any{
@@ -241,12 +229,12 @@ func (s *Server) handleShadowReport(w http.ResponseWriter, r *http.Request) {
 	if err := sh.failure(); err != nil {
 		reply["error"] = err.Error()
 	}
-	writeJSON(w, reply)
+	return reply, nil
 }
 
-// handleShadowStop detaches and stops the shadow counter, reporting the final
+// stopShadow detaches and stops the shadow counter, reporting the final
 // comparison.
-func (s *Server) handleShadowStop(w http.ResponseWriter, r *http.Request) {
+func (s *Server) stopShadow() (any, error) {
 	s.posMu.Lock()
 	s.mu.Lock()
 	sh := s.shadow
@@ -254,8 +242,7 @@ func (s *Server) handleShadowStop(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.posMu.Unlock()
 	if sh == nil {
-		http.Error(w, "serve: no shadow evaluation is running", http.StatusNotFound)
-		return
+		return nil, errNoShadow
 	}
 	final := sh.ens.Close()
 	s.mu.RLock()
@@ -271,5 +258,5 @@ func (s *Server) handleShadowStop(w http.ResponseWriter, r *http.Request) {
 	if err := sh.failure(); err != nil {
 		reply["error"] = err.Error()
 	}
-	writeJSON(w, reply)
+	return reply, nil
 }

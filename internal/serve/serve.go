@@ -6,21 +6,13 @@
 // can survive restarts and be rebalanced without replaying its (single-pass,
 // unreplayable) stream.
 //
-// The handler is plain net/http over the wsd facade's ShardedCounter, which
-// already serializes ingestion per shard and publishes estimates for
-// lock-free readers; the server only adds wire parsing and a swap lock for
-// restore.
-//
-//	POST /ingest    body: stream events, text or binary (sniffed)   -> {"accepted": n}
-//	GET  /estimate                 all served patterns               -> {"estimate": ..., "estimates": {...}, ...}
-//	GET  /estimate?pattern=<name>  one served pattern (else 400)     -> {"pattern": ..., "estimate": ...}
-//	GET  /snapshot  full ensemble state                              -> application/json blob
-//	POST /restore   body: a /snapshot blob                           -> {"restored": true, "shards": k}
-//	GET  /healthz   readiness                                        -> {"status": "ok", "patterns": [...], "shards": k, "m": ..., "processed": n}
-//
-// NewCoordinator serves the same endpoint set in cluster mode: ingest fans
-// out to a fleet of worker deployments, estimates are gathered and combined,
-// and /healthz reports fleet quorum; see internal/cluster.
+// Server fronts one wsd.ShardedCounter, which already serializes ingestion
+// per shard and publishes estimates for lock-free readers; Coordinator fronts
+// a worker fleet (internal/cluster). Both serve one route table (routes.go)
+// over a small backend interface, which reads capped bodies, maps errors to
+// statuses and answers /estimate queries once for both. Only a worker serves
+// /policy/shadow, and only a coordinator POST /catchup. docs/operations.md
+// documents every route (make docs-check fails on a missing one).
 package serve
 
 import (
@@ -30,14 +22,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	wsd "repro"
 
-	"repro/internal/cli"
 	"repro/internal/policy"
 	"repro/internal/shard"
 	"repro/internal/stream"
@@ -99,10 +89,8 @@ const defaultMaxBodyBytes = 64 << 20
 type Server struct {
 	cfg Config
 	// patterns is the served pattern set in estimator order: cfg.Patterns
-	// for multi-pattern deployments, [cfg.Pattern] otherwise. byKind resolves
-	// a parsed ?pattern= query parameter to an estimator index.
+	// for multi-pattern deployments, [cfg.Pattern] otherwise.
 	patterns []wsd.Pattern
-	byKind   map[wsd.Pattern]int
 
 	// mu guards ens as a pointer: ingest/estimate/snapshot hold the read
 	// lock (the ensemble itself is concurrency-safe), restore swaps the
@@ -207,11 +195,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	byKind := make(map[wsd.Pattern]int, len(patterns))
-	for i, p := range patterns {
-		byKind[p] = i
-	}
-	return &Server{cfg: cfg, patterns: patterns, byKind: byKind, ens: ens, policy: status, temporal: temporal}, nil
+	return &Server{cfg: cfg, patterns: patterns, ens: ens, policy: status, temporal: temporal}, nil
 }
 
 // Close drains and stops the counter (and any shadow evaluation), returning
@@ -311,29 +295,23 @@ func (s *Server) Restore(blob []byte) (int, error) {
 	return restored.Shards(), nil
 }
 
-// Handler returns the HTTP handler.
+// Handler returns the HTTP handler: the shared route table over this
+// server, plus the candidate-policy shadow routes only a worker serves.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("GET /estimate", s.handleEstimate)
-	mux.HandleFunc("POST /flush", s.handleFlush)
-	mux.HandleFunc("GET /snapshot", s.handleSnapshot)
-	mux.HandleFunc("POST /restore", s.handleRestore)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /policy", s.handlePolicyGet)
-	mux.HandleFunc("PUT /policy", s.handlePolicySwap)
-	mux.HandleFunc("POST /policy/shadow", s.handleShadowStart)
-	mux.HandleFunc("GET /policy/shadow", s.handleShadowReport)
-	mux.HandleFunc("DELETE /policy/shadow", s.handleShadowStop)
-	return mux
+	limit := s.cfg.MaxBodyBytes
+	return newHandler(s, limit,
+		route{"POST /policy/shadow", handle(limit, http.StatusBadRequest, withBody(s.startShadow))},
+		route{"GET /policy/shadow", handle(0, http.StatusServiceUnavailable, noBody(s.shadowReport))},
+		route{"DELETE /policy/shadow", handle(0, http.StatusNotFound, noBody(s.stopShadow))},
+	)
 }
 
-// handleHealthz reports real readiness, not a bare ok: what the deployment
-// counts (pattern set), its ensemble shape (shard count, total budget), and
-// how far it has read the stream. Coordinators probe this to build their
-// fleet health report, and an operator can diff it against the intended
-// deployment after a restart or restore.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// health reports real readiness, not a bare ok: what the deployment counts
+// (pattern set), its ensemble shape (shard count, total budget), and how far
+// it has read the stream. Coordinators probe this to build their fleet health
+// report, and an operator can diff it against the intended deployment after a
+// restart or restore.
+func (s *Server) health() (any, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	// "position" is the accepted stream position: the absolute count of
@@ -370,34 +348,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"count": s.cfg.PartitionCount,
 		}
 	}
-	writeJSON(w, health)
+	return health, true
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Read the whole body before parsing anything. MaxBytesReader (unlike a
-	// LimitReader) errors on overflow instead of silently truncating, and
-	// reading up front guarantees a truncated body can never be half-parsed
-	// into the counters — a text stream cut mid-line would otherwise yield a
-	// shortened vertex id that parses as a valid (wrong) event.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		if isBodyTooLarge(err) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// A stamped request declares the absolute stream position of its first
-	// event; parse it before taking any lock so a malformed stamp is a cheap
-	// 400.
+// ingest serves POST /ingest. A stamped request (StreamPosHeader) declares
+// the absolute stream position of its first event; the stamp is parsed
+// before any lock is taken, so a malformed one is a cheap 400.
+func (s *Server) ingest(body []byte, h http.Header) (any, error) {
 	stamped := false
 	var stampPos int64
-	if h := r.Header.Get(StreamPosHeader); h != "" {
-		pos, err := strconv.ParseInt(h, 10, 64)
+	if v := h.Get(StreamPosHeader); v != "" {
+		pos, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || pos < 0 {
-			http.Error(w, fmt.Sprintf("serve: bad %s header %q", StreamPosHeader, h), http.StatusBadRequest)
-			return
+			return nil, withStatus(http.StatusBadRequest, fmt.Errorf("serve: bad %s header %q", StreamPosHeader, v))
 		}
 		stamped, stampPos = true, pos
 	}
@@ -415,22 +378,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// The body starts past what this server has seen: applying it
 			// would silently drop the gap. The coordinator heals by replaying
 			// from this server's actual position instead.
-			http.Error(w, fmt.Sprintf("serve: stream position gap: request starts at %d, server is at %d", stampPos, pos),
-				http.StatusConflict)
-			return
+			return nil, withStatus(http.StatusConflict,
+				fmt.Errorf("serve: stream position gap: request starts at %d, server is at %d", stampPos, pos))
 		}
 		skip = pos - stampPos
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	accepted, duplicate, err := ingestSkip(s.ens, &s.batches, bytes.NewReader(raw), skip)
+	accepted, duplicate, err := ingestSkip(s.ens, &s.batches, bytes.NewReader(body), skip)
 	if err != nil {
 		if errors.Is(err, shard.ErrClosed) {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
+			return nil, withStatus(http.StatusServiceUnavailable, err)
 		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, withStatus(http.StatusBadRequest, err)
 	}
 	s.streamPos.Add(int64(accepted))
 	if sh := s.shadow; sh != nil {
@@ -438,21 +398,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// body, same duplicate skip) under the candidate policy. A shadow
 		// failure never fails live ingestion — it is recorded and reported
 		// on GET /policy/shadow instead.
-		if _, _, err := ingestSkip(sh.ens, &s.shadowBatches, bytes.NewReader(raw), skip); err != nil {
+		if _, _, err := ingestSkip(sh.ens, &s.shadowBatches, bytes.NewReader(body), skip); err != nil {
 			sh.fail(err)
 		}
 	}
 	if stamped {
-		writeJSON(w, map[string]any{"accepted": accepted, "duplicate": duplicate})
-		return
+		return map[string]any{"accepted": accepted, "duplicate": duplicate}, nil
 	}
-	writeJSON(w, map[string]any{"accepted": accepted})
-}
-
-// isBodyTooLarge matches http.MaxBytesReader's overflow error.
-func isBodyTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
+	return map[string]any{"accepted": accepted}, nil
 }
 
 // ingestSkip parses and submits one request body, dropping its first skip
@@ -544,100 +497,38 @@ func ingestSkip(ens *wsd.ShardedCounter, pool *stream.BatchPool, body io.Reader,
 	return len(evs), duplicate, nil
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+// gather reads every served estimate from the ensemble's published values.
+func (s *Server) gather() (*gathered, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	q := r.URL.Query()
-	if err := CheckEstimateQuery(q, s.temporal); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if name := q.Get("pattern"); name != "" {
-		// The query value goes through the same parser as the -pattern flag,
-		// so every alias spelling that configures a server also queries it
-		// (?pattern=4clique and ?pattern=4-clique are the same pattern).
-		// Unknown or unserved names are client errors so a misconfigured
-		// client cannot silently read the wrong count.
-		k, err := cli.ParsePattern(name)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("serve: %v (served: %s)", err, s.patternNames()), http.StatusBadRequest)
-			return
-		}
-		idx, ok := s.byKind[k]
-		if !ok {
-			http.Error(w, fmt.Sprintf("serve: pattern %q is not served (served: %s)", k, s.patternNames()), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, map[string]any{
-			"pattern":   k.String(),
-			"estimate":  s.ens.EstimateAt(idx),
-			"processed": s.ens.Processed(),
-			"m":         s.cfg.M,
-			"window":    s.cfg.Window,
-			"halflife":  s.cfg.Halflife,
-		})
-		return
-	}
 	vec := s.ens.EstimateVector()
-	estimates := make(map[string]float64, len(s.patterns))
-	for i, p := range s.patterns {
-		estimates[p.String()] = vec[i]
+	processed := s.ens.Processed()
+	names := s.patternNames()
+	values := make(map[string]float64, len(names))
+	for i, p := range names {
+		values[p] = vec[i]
 	}
-	writeJSON(w, map[string]any{
-		"estimate":  vec[0],
-		"estimates": estimates,
-		"shards":    s.ens.Estimates(),
-		"processed": s.ens.Processed(),
-		"pattern":   s.patterns[0].String(),
-		"patterns":  s.patternNames(),
-		"m":         s.cfg.M,
-		"window":    s.cfg.Window,
-		"halflife":  s.cfg.Halflife,
-	})
-}
-
-// ParseEstimateQuery validates an /estimate query's parameter set and parses
-// its temporal assertion. Only pattern, window, and halflife are recognized —
-// an unknown parameter is an error rather than silently ignored, so a typo
-// (?windw=500) cannot masquerade as a whole-stream read. When window or
-// halflife are present, the parsed spec is returned with asserted=true
-// (?window=inf asserts whole-stream explicitly); absent, the query accepts
-// whatever mode the deployment serves. Shared by the worker and coordinator
-// estimate handlers — the coordinator parses before touching the fleet and
-// matches the assertion after the gather.
-func ParseEstimateQuery(q url.Values) (asked window.Spec, asserted bool, err error) {
-	for key := range q {
-		switch key {
-		case "pattern", "window", "halflife":
-		default:
-			return asked, false, fmt.Errorf("serve: unknown query parameter %q (recognized: pattern, window, halflife)", key)
-		}
-	}
-	_, hasW := q["window"]
-	_, hasH := q["halflife"]
-	if !hasW && !hasH {
-		return asked, false, nil
-	}
-	asked, err = window.ParseSpec(q.Get("window"), q.Get("halflife"))
-	if err != nil {
-		return asked, false, fmt.Errorf("serve: %w", err)
-	}
-	return asked, true, nil
-}
-
-// CheckEstimateQuery runs ParseEstimateQuery and matches any temporal
-// assertion against the deployment's serving mode: a client asking a
-// whole-stream deployment for a windowed count (or vice versa) would
-// otherwise silently read a number with different semantics.
-func CheckEstimateQuery(q url.Values, serving window.Spec) error {
-	asked, asserted, err := ParseEstimateQuery(q)
-	if err != nil {
-		return err
-	}
-	if asserted && asked != serving {
-		return fmt.Errorf("serve: this deployment serves %s estimates, query asked for %s", serving, asked)
-	}
-	return nil
+	m, win, halflife := s.cfg.M, s.cfg.Window, s.cfg.Halflife
+	return &gathered{
+		mode:     s.temporal,
+		patterns: names,
+		values:   values,
+		all: map[string]any{
+			"estimate":  vec[0],
+			"estimates": values,
+			"shards":    s.ens.Estimates(),
+			"processed": processed,
+			"pattern":   names[0],
+			"patterns":  names,
+			"m":         m,
+			"window":    win,
+			"halflife":  halflife,
+		},
+		one: func(pattern string, estimate float64) map[string]any {
+			return map[string]any{"pattern": pattern, "estimate": estimate,
+				"processed": processed, "m": m, "window": win, "halflife": halflife}
+		},
+	}, nil
 }
 
 // patternNames renders the served pattern set in estimator order.
@@ -649,44 +540,26 @@ func (s *Server) patternNames() []string {
 	return names
 }
 
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
+// flush serves POST /flush.
+func (s *Server) flush() (any, error) {
 	pos, err := s.Flush()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+		return nil, err
 	}
-	writeJSON(w, map[string]any{"flushed": true, "position": pos})
+	return map[string]any{"flushed": true, "position": pos}, nil
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+// snapshot serves GET /snapshot.
+func (s *Server) snapshot() (any, error) {
 	blob, err := s.Snapshot()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(blob)
+	return json.RawMessage(blob), err
 }
 
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// restore serves POST /restore.
+func (s *Server) restore(body []byte) (any, error) {
+	shards, err := s.Restore(body)
 	if err != nil {
-		if isBodyTooLarge(err) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
-	shards, err := s.Restore(blob)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, map[string]any{"restored": true, "shards": shards})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	return map[string]any{"restored": true, "shards": shards}, nil
 }

@@ -418,10 +418,10 @@ type BatchPool = stream.BatchPool
 // ShardedCounter of one shard: Submit enqueues one event without allocating,
 // SubmitBatch is the amortized fast path and SubmitPooled its zero-allocation
 // variant over pooled batches. Quiesce hands the callback the counter as
-// shard 0. Snapshot returns a one-shard ensemble blob: RestoreShardedCounter
-// revives it as a sharded counter, and RestoreCounter, RestoreLocalCounter
-// or RestoreMultiCounter (matching the wrapped counter) revive the counter
-// itself, ready for a new NewProcessor.
+// shard 0, typed ShardCounter. Snapshot returns a one-shard ensemble blob:
+// RestoreShardedCounter revives it as a sharded counter, and RestoreCounter,
+// RestoreLocalCounter or RestoreMultiCounter (matching the wrapped counter)
+// revive the counter itself, ready for a new NewProcessor.
 type Processor = ShardedCounter
 
 // NewProcessor wraps a counter in a dedicated ingestion goroutine with the
@@ -436,6 +436,13 @@ func NewProcessor(c Counter, buffer int) *Processor {
 	}
 	return p
 }
+
+// ShardCounter is one shard's counter as ShardedCounter.Quiesce (and so
+// Processor.Quiesce) hands it to the callback: func(i int, c ShardCounter)
+// error. The package's counters satisfy it; inside the callback the shard is
+// exclusively the caller's, so wsd.Checkpoint(c) reads that shard's own
+// bytes.
+type ShardCounter = shard.Counter
 
 // ShardedCounter is an ensemble of independently seeded WSD counters driven
 // concurrently on a worker pool; see NewShardedCounter. Feed it with Submit
@@ -522,7 +529,8 @@ func shardOptions(o *options) []shard.Option {
 // implement it. The ingestion layers (Processor, ShardedCounter) do not:
 // they checkpoint through their own Snapshot method. A Processor's Snapshot
 // blob restores through the wrapped counter's own Restore function, and the
-// counter's own bytes stay reachable by calling Checkpoint inside Quiesce.
+// counter's own bytes stay reachable by calling Checkpoint on the
+// ShardCounter that Quiesce hands its callback.
 // A counter restored from a checkpoint continues bit-identically to the
 // uninterrupted run: same sample trajectory, same estimates.
 type Checkpointable interface {

@@ -220,3 +220,39 @@ func TestProcessorFacade(t *testing.T) {
 	}()
 	wsd.NewProcessor(nil, 1)
 }
+
+// TestProcessorQuiesceDrainsBacklog: a Processor's Quiesce observes every
+// previously submitted event applied, hands over the counter holding the
+// published estimate, and is refused (as is Snapshot) after Close.
+func TestProcessorQuiesceDrainsBacklog(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	s := stream.LightDeletion(gen.HolmeKim(400, 4, 0.7, rng), 0.2, rng)
+	c, err := wsd.NewTriangleCounter(300, wsd.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := wsd.NewProcessor(c, 8)
+	if err := p.SubmitBatch(s); err != nil {
+		t.Fatal(err)
+	}
+	var seen float64
+	if err := p.Quiesce(func(_ int, sc wsd.ShardCounter) error {
+		seen = sc.Estimate()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Processed() != int64(len(s)) {
+		t.Fatalf("after quiesce, processed %d of %d", p.Processed(), len(s))
+	}
+	if seen != p.Estimate() {
+		t.Fatalf("quiesced estimate %v differs from published %v", seen, p.Estimate())
+	}
+	p.Close()
+	if err := p.Quiesce(func(int, wsd.ShardCounter) error { return nil }); err != shard.ErrClosed {
+		t.Fatalf("quiesce after close: got %v, want ErrClosed", err)
+	}
+	if _, err := p.Snapshot(); err != shard.ErrClosed {
+		t.Fatalf("snapshot after close: got %v, want ErrClosed", err)
+	}
+}
