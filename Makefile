@@ -100,18 +100,22 @@ window-smoke:
 	$(GO) test -run xxx -fuzz FuzzWindowedSnapshotDecode -fuzztime 30s .
 	$(GO) run ./cmd/wsdload -fleet 3 -window 6000 -rate 20000 -duration 10s -max-p99 250
 
-# Ingestion throughput: single-goroutine pipeline vs sharded ensemble.
+# Ingestion throughput on the dense-community 4-clique stream: one worker fed
+# per event (submit) or in batches (pipeline) vs split-budget ensembles of 2,
+# 4 and 8 shards — the benchsuite cells gated against BENCH_baseline.json.
 bench:
-	$(GO) test -run xxx -bench 'PipelineSingle|Sharded' -benchtime 3x .
+	$(GO) run ./cmd/wsdbench -exp suite -only submit,pipeline/dense,shard2,shard4/dense,shard8
 
 # Binary vs text decode throughput on a 1M-event stream (the binary codec's
 # acceptance benchmark: binary must decode at >= 2x the text rate).
 bench-codec:
 	$(GO) test -run xxx -bench Decode -benchtime 3x ./internal/stream/
 
-# Every paper table/figure at the quick profile (slow).
+# Every paper table/figure at the quick profile (slow), one sub-benchmark per
+# experiment.Registry entry: -bench 'Artifacts/table3$$' runs one, and
+# -cpuprofile profiles it.
 bench-tables:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench Artifacts -benchtime 1x .
 
 # The ingest regression suite: record a machine-readable perf report.
 bench-suite:

@@ -10,8 +10,10 @@
 //     exists, so the docs cannot silently rot as files move.
 //  4. Every command-line flag registered by a cmd/* binary
 //     (flag.String/Int/Bool/Duration/... in its main.go) is documented in
-//     docs/operations.md, inside that binary's section — the operator
-//     guide's flag tables are complete by construction, not by discipline.
+//     docs/operations.md, inside that binary's section, and every
+//     "| `-name` |" flag-table row there names a flag the binary registers —
+//     the operator guide's flag tables are complete and current by
+//     construction, not by discipline.
 //  5. Every HTTP route the serving layer registers (each "METHOD /path"
 //     string in internal/serve: the shared route table and each mode's
 //     extra routes) appears in the "Endpoints (both modes)" table of
@@ -34,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -213,8 +216,9 @@ var flagNameArg = map[string]int{
 }
 
 // lintFlagDocs checks that every flag a cmd/* binary registers appears in
-// docs/operations.md within that binary's section, so the operator guide's
-// flag reference cannot rot as flags are added.
+// docs/operations.md within that binary's section, and that every flag-table
+// row there names a registered flag, so the operator guide's flag reference
+// cannot rot as flags are added or removed.
 func lintFlagDocs(root string, report func(string, ...any)) error {
 	cmdDir := filepath.Join(root, "cmd")
 	entries, err := os.ReadDir(cmdDir)
@@ -263,6 +267,18 @@ func lintFlagDocs(root string, report func(string, ...any)) error {
 			}
 			if !documented {
 				report("%s: flag -%s of cmd/%s is not documented in docs/operations.md", opsPath, f, bin)
+			}
+		}
+		// The reverse direction: a flag-table row must name a flag the
+		// binary still registers, so a removed flag cannot leave its row.
+		for _, line := range strings.Split(section, "\n") {
+			row, ok := strings.CutPrefix(line, "| `-")
+			if !ok {
+				continue
+			}
+			name, _, _ := strings.Cut(row, "`")
+			if !slices.Contains(flags, name) {
+				report("%s: flag -%s is documented for cmd/%s, which does not register it", opsPath, name, bin)
 			}
 		}
 	}

@@ -141,9 +141,10 @@ func main() { _ = flag.Int64("seed", 1, "seed") }
 | flag | meaning |
 |---|---|
 | `+"`-in`"+` | input |
-| `+"`-mom`"+` | not the -m flag: the delimiter check must not let this satisfy -m |
 | `+"`-timeout`"+` | bound |
 | `+"`-out`"+` | output |
+
+`+"`-mom`"+` is not the -m flag: the delimiter check must not let it satisfy -m.
 
 ## unrelated
 
@@ -172,6 +173,48 @@ for nothing.
 	}
 	if len(*problems) != 4 {
 		t.Errorf("problems = %v, want exactly 4", *problems)
+	}
+}
+
+// TestFlagDocsLintStaleRow: a flag-table row naming a flag the binary does
+// not register (a removed flag's leftover) is reported, scoped to the
+// binary's own section; a registered flag's row and a stale-looking mention
+// outside any table row are not.
+func TestFlagDocsLintStaleRow(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "cmd/wsdfoo/main.go", `package main
+
+import "flag"
+
+func main() { _ = flag.Int("m", 10, "budget") }
+`)
+	write(t, root, "cmd/wsdbar/main.go", `package main
+
+import "flag"
+
+func main() { _ = flag.Bool("append", false, "append") }
+`)
+	write(t, root, "docs/operations.md", `# Operations
+
+## wsdfoo
+
+| flag | meaning |
+|---|---|
+| `+"`-m`"+` | budget |
+| `+"`-append`"+` | removed from wsdfoo; wsdbar's -append must not excuse it |
+
+`+"`-gone`"+` in prose is not a table row.
+
+## wsdbar
+
+| `+"`-append`"+` | append |
+`)
+	report, problems := collect()
+	if err := lintFlagDocs(root, report); err != nil {
+		t.Fatal(err)
+	}
+	if len(*problems) != 1 || !strings.Contains((*problems)[0], "flag -append is documented for cmd/wsdfoo, which does not register it") {
+		t.Fatalf("problems = %v, want exactly wsdfoo's stale -append row", *problems)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,130 +24,20 @@ import (
 	"repro/internal/experiment"
 )
 
-type runner func(experiment.Profile) (*experiment.Table, error)
-
-func table(f func(experiment.Profile) (*experiment.AccuracyResult, error)) runner {
-	return func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := f(p)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table, nil
-	}
-}
-
-var experiments = map[string]runner{
-	"table2": table(experiment.Table2),
-	"table3": table(experiment.Table3),
-	"table4": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Table4(p)
-		return tbl(r, err)
-	},
-	"table5": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Table5(p)
-		return tbl(r, err)
-	},
-	"table6": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Table6(p)
-		return tbl(r, err)
-	},
-	"table7":  table(experiment.Table7),
-	"table8":  table(experiment.Table8),
-	"table9":  table(experiment.Table9),
-	"table10": table(experiment.Table10),
-	"table11": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Table11(p)
-		return tbl(r, err)
-	},
-	"table12": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Table12(p)
-		return tbl(r, err)
-	},
-	"table13": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Table13(p)
-		return tbl(r, err)
-	},
-	"fig1": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig1(p)
-		return tbl(r, err)
-	},
-	"fig2a": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig2a(p)
-		return tbl(r, err)
-	},
-	"fig2b": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig2b(p)
-		return tbl(r, err)
-	},
-	"fig2c": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig2c(p)
-		return tbl(r, err)
-	},
-	"fig2d": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig2d(p)
-		return tbl(r, err)
-	},
-	"fig3": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig3(p)
-		return tbl(r, err)
-	},
-	"fig4a": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig4a(p)
-		return tbl(r, err)
-	},
-	"fig4b": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig4b(p)
-		return tbl(r, err)
-	},
-	"fig4c": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig4c(p)
-		return tbl(r, err)
-	},
-	"fig4d": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig4d(p)
-		return tbl(r, err)
-	},
-	"fig5": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Fig5(p)
-		if err != nil {
-			return nil, err
-		}
-		combined := *r.Massive.Table
-		combined.Rows = append(combined.Rows, []string{"-- light --"})
-		combined.Rows = append(combined.Rows, r.Light.Table.Rows...)
-		return &combined, nil
-	},
-	"throughput": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.Throughput(p)
-		return tbl(r, err)
-	},
-	"ablation-weights": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.WeightFamilies(p)
-		return tbl(r, err)
-	},
-	"ablation-wrs": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.WRSAlphaSweep(p)
-		return tbl(r, err)
-	},
-	"ablation-ddpg": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.DDPGAblation(p)
-		return tbl(r, err)
-	},
-	"policy": func(p experiment.Profile) (*experiment.Table, error) {
-		r, err := experiment.PolicyLifecycle(p)
-		return tbl(r, err)
-	},
-	"suite": func(p experiment.Profile) (*experiment.Table, error) {
+// experiments is the paper registry plus this tool's own suite entry.
+func experiments() []experiment.Entry {
+	suite := func(p experiment.Profile) (*experiment.Table, error) {
 		rep, err := benchsuite.Run(suiteConfig(p))
 		if err != nil {
 			return nil, err
 		}
 		return suiteTable(rep), nil
-	},
+	}
+	return append(experiment.Registry(), experiment.Entry{ID: "suite", Run: suite})
 }
 
 // suiteOnly carries the -only flag's workload substrings into suiteConfig
-// (the suite entry point is reached both from main and the experiment table).
+// (the suite is reached both from -json and from its experiments entry).
 var suiteOnly []string
 
 // suiteConfig maps the experiment profile onto the benchmark suite: the seed
@@ -206,23 +96,6 @@ func runCompare(oldPath, newPath string, tol benchsuite.Tolerances) int {
 	return 0
 }
 
-// tbl lifts any result carrying a Table field.
-func tbl(r interface{ GetTable() *experiment.Table }, err error) (*experiment.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r.GetTable(), nil
-}
-
-func ids() []string {
-	out := make([]string, 0, len(experiments))
-	for id := range experiments {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func main() {
 	exp := flag.String("exp", "", "experiment id (or 'all')")
 	full := flag.Bool("full", false, "use the paper-scale profile (100 trials, 1000 DDPG iterations)")
@@ -237,8 +110,11 @@ func main() {
 	tolMRE := flag.Float64("mre-tolerance", 0, "with -compare: allowed relative MRE rise (default 0.50)")
 	flag.Parse()
 
+	all := experiments()
 	if *list {
-		fmt.Println(strings.Join(ids(), "\n"))
+		for _, e := range all {
+			fmt.Println(e.ID)
+		}
 		return
 	}
 	if *only != "" {
@@ -289,26 +165,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	var selected []string
-	if *exp == "all" {
-		selected = ids()
-	} else {
+	selected := all
+	if *exp != "all" {
+		selected = nil
 		for _, id := range strings.Split(*exp, ",") {
-			if _, ok := experiments[id]; !ok {
+			i := slices.IndexFunc(all, func(e experiment.Entry) bool { return e.ID == id })
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "wsdbench: unknown experiment %q (use -list)\n", id)
 				os.Exit(2)
 			}
-			selected = append(selected, id)
+			selected = append(selected, all[i])
 		}
 	}
-	for _, id := range selected {
+	for _, e := range selected {
 		start := time.Now()
-		t, err := experiments[id](prof)
+		t, err := e.Run(prof)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wsdbench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "wsdbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		fmt.Println(t.String())
-		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -21,7 +21,6 @@
 //	wsdload -fleet 3 -rate 50000 -duration 10s        # self-contained soak
 //	wsdload -addr http://host:8080 -rate 100000       # against a live deployment
 //	wsdload -fleet 3 -window 5000 -json               # windowed workers, JSON report
-//	wsdload -fleet 1 -append BENCH_baseline.json      # record a reference row
 //
 // With -fleet N the harness starts N in-process wsdserve workers and a
 // coordinator front end on loopback and drives the coordinator; with -addr
@@ -71,7 +70,6 @@ func main() {
 	deleteFrac := flag.Float64("delete-frac", 0.2, "fraction of events that delete a present edge")
 	workload := flag.String("workload", "wsdload/synthetic-churn", "workload name recorded in the report row")
 	jsonOut := flag.Bool("json", false, "emit the run as a benchsuite-schema JSON report on stdout")
-	appendPath := flag.String("append", "", "append the run as a reference row to this benchsuite report file (e.g. BENCH_baseline.json)")
 	maxP99 := flag.Float64("max-p99", 0, "fail (exit 1) if ingest p99 exceeds this many milliseconds or any request errored")
 	flag.Parse()
 
@@ -110,12 +108,6 @@ func main() {
 	res.Stream = "synthetic-churn"
 	res.Ingest = "wsdload"
 
-	if *appendPath != "" {
-		if err := appendReference(*appendPath, res); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wsdload: appended reference row %q to %s\n", res.Workload, *appendPath)
-	}
 	if *jsonOut {
 		rep := &benchsuite.Report{
 			SchemaVersion: benchsuite.SchemaVersion,
@@ -395,26 +387,6 @@ func getEstimate(client *http.Client, target string) (bool, error) {
 		return false, err
 	}
 	return reply.Degraded, nil
-}
-
-// appendReference adds res to the reference rows of an existing benchsuite
-// report file — the committed baseline keeps its gated results untouched
-// while accumulating end-to-end latency context the comparator ignores.
-func appendReference(path string, res benchsuite.Result) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	rep, err := benchsuite.DecodeReport(raw)
-	if err != nil {
-		return err
-	}
-	rep.Reference = append(rep.Reference, res)
-	out, err := rep.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }
 
 func fatal(err error) {

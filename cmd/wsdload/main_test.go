@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"repro/internal/benchsuite"
 	"repro/internal/graph"
 	"repro/internal/stream"
 )
@@ -74,49 +71,5 @@ func TestChurnEncodeRoundTrips(t *testing.T) {
 				t.Fatalf("batch %d event %d: decoded %+v, sent %+v", b, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestAppendReference checks the -append contract: the run lands in the
-// report's reference rows (ignored by the comparator), the gated results are
-// untouched, and appending twice accumulates.
-func TestAppendReference(t *testing.T) {
-	rep := &benchsuite.Report{
-		SchemaVersion: benchsuite.SchemaVersion,
-		Suite:         benchsuite.SuiteName,
-		Trials:        1,
-		Results:       []benchsuite.Result{{Workload: "core/dense", NsPerEvent: 100}},
-	}
-	raw, err := rep.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	row := benchsuite.Result{Workload: "wsdload/synthetic-churn", IngestP99Ms: 4.5, Events: 1000}
-	if err := appendReference(path, row); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendReference(path, row); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := benchsuite.DecodeReport(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Results) != 1 || got.Results[0].Workload != "core/dense" {
-		t.Fatalf("gated results changed: %+v", got.Results)
-	}
-	if len(got.Reference) != 2 || got.Reference[0].IngestP99Ms != 4.5 {
-		t.Fatalf("reference rows = %+v, want two appended wsdload rows", got.Reference)
-	}
-	if err := appendReference(filepath.Join(t.TempDir(), "missing.json"), row); err == nil {
-		t.Fatal("append to a missing baseline succeeded; it must refuse to invent a report")
 	}
 }

@@ -5,39 +5,21 @@
 // machine-readable JSON report that a comparator can diff against a committed
 // baseline and fail CI on regression.
 //
-// The suite crosses three stream shapes with four ingest paths, plus two
-// multi-pattern cells on the densest stream:
+// The suite crosses three stream shapes with a ladder of ingest paths, one
+// cell per "<ingest>/<stream>" pair; ingests documents every path:
 //
 //	streams: dense-community (4-clique counting on planted communities, the
 //	         quadratic-enumeration regime), wedge-heavy (hub-dominated
 //	         Barabasi-Albert graph, cheap pattern at high instance counts),
 //	         deletion-churn (mass-deletion events, the fully dynamic stress)
-//	ingest:  core (bare counter, batched calls), pipeline (one worker
-//	         goroutine behind a channel: a one-shard ensemble), shard4
-//	         (4-shard split-budget ensemble, refcounted broadcast),
-//	         binary-decode (wire-format frames decoded into pooled batches
-//	         feeding the pipeline cell's worker),
-//	         multi3 (one 3-pattern MultiCounter over one shared sample),
-//	         single3x (the same 3 patterns as 3 independent counters, the
-//	         baseline multi3 is measured against; dense-community only), and
-//	         cluster3 (a coordinator broadcasting pooled batches over HTTP to
-//	         3 in-process httptest workers and gathering the combined
-//	         estimate — what the cluster layer pays end to end;
-//	         dense-community only), cluster3-partitioned (the same fleet
-//	         with each edge routed only to the workers owning its endpoints
-//	         and the estimates composed by visibility-corrected summation —
-//	         the scaling mode; dense-community only), cluster3-wal (the
-//	         same fleet with a write-ahead log on the broadcast path — the
-//	         durability tax; dense-community only), core-temporal (the
-//	         bare counter with the temporal features computed under the
-//	         same WSD-H weight, which ignores them — the state-extraction
-//	         rung, whose MRE equals core's; dense-community only),
-//	         core-wsdl (the bare counter under a learned WSD-L policy
-//	         weight function — the policy-evaluation tax on the hot path,
-//	         which must stay allocation-free; dense-community only), and
-//	         cluster3-wsdl (the cluster3 fleet booted with a policy
-//	         artifact — the learned weight function end to end;
-//	         dense-community only)
+//	ingest:  the bare counter (core, and its core-temporal, core-window,
+//	         core-decay, core-wsdl, multi3 and single3x variants), one
+//	         worker goroutine fed per event (submit), in batches (pipeline)
+//	         or from decoded wire frames (binary-decode), split-budget
+//	         ensembles (shard2, shard4, shard8), and a 3-worker HTTP fleet
+//	         (cluster3, and its cluster3-wsdl, cluster3-partitioned and
+//	         cluster3-wal variants); all but core, pipeline, shard4 and
+//	         binary-decode run on dense-community only
 //
 // Everything is seeded: the streams, the samplers, and the trial protocol,
 // so two runs on the same machine measure the same computation and the only
@@ -170,8 +152,12 @@ type ingestSpec struct {
 	// (windowed or decayed count), so their error must be measured against
 	// the matching oracle.
 	truth func(sp streamSpec, s stream.Stream) float64
-	run   func(sp streamSpec, s stream.Stream, encoded []byte, seed int64) (float64, error)
+	run   cellFunc
 }
+
+// cellFunc runs one trial of an ingest path on stream s (encoded is s in the
+// binary wire format) under the trial's seed and returns the final estimate.
+type cellFunc func(sp streamSpec, s stream.Stream, encoded []byte, seed int64) (float64, error)
 
 // appliesTo reports whether the ingest path runs on stream sp.
 func (ing ingestSpec) appliesTo(sp streamSpec) bool {
@@ -214,9 +200,9 @@ func newCoreCounter(sp streamSpec, m int, seed int64, skipTemporal bool) (*core.
 	})
 }
 
-// newPipeline is the pipeline and binary-decode cells' ingest stack: the
-// core cell's counter owned by one worker goroutine, a one-shard ensemble
-// with a 64-envelope feed.
+// newPipeline is the submit, pipeline and binary-decode cells' ingest stack:
+// the core cell's counter owned by one worker goroutine, a one-shard
+// ensemble with a 64-envelope feed.
 func newPipeline(sp streamSpec, seed int64) (*shard.Ensemble, error) {
 	c, err := newCoreCounter(sp, sp.m, seed, true)
 	if err != nil {
@@ -236,13 +222,138 @@ func feedCore(c *core.Counter, s stream.Stream) float64 {
 
 // runCore is the bare-counter cell body: newCoreCounter fed the stream in
 // batches.
-func runCore(skipTemporal bool) func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
+func runCore(skipTemporal bool) cellFunc {
 	return func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
 		c, err := newCoreCounter(sp, sp.m, seed, skipTemporal)
 		if err != nil {
 			return 0, err
 		}
 		return feedCore(c, s), nil
+	}
+}
+
+// feedPooled copies the stream into pooled batches and hands each to submit,
+// which takes the batch's reference.
+func feedPooled(s stream.Stream, submit func(*stream.Batch) error) error {
+	var pool stream.BatchPool
+	for lo := 0; lo < len(s); lo += batchSize {
+		b := pool.Get()
+		b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
+		if err := submit(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runShards is the shardK cell body: k split-budget shards, shard i seeded
+// seed+i, fed by the refcounted broadcast.
+func runShards(k int) cellFunc {
+	return func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
+		budgets := shard.SplitBudget(sp.m, k)
+		counters := make([]shard.Counter, k)
+		for i := range counters {
+			c, err := newCoreCounter(sp, budgets[i], seed+int64(i), true)
+			if err != nil {
+				return 0, err
+			}
+			counters[i] = c
+		}
+		e, err := shard.New(counters)
+		if err != nil {
+			return 0, err
+		}
+		if err := feedPooled(s, e.SubmitPooled); err != nil {
+			return 0, err
+		}
+		return e.Close(), nil
+	}
+}
+
+// fleet is what sets one cluster cell apart from the others; runFleet builds
+// and drives every one of them.
+type fleet struct {
+	// budgetDiv divides the stream's budget m before it is split across the
+	// three workers.
+	budgetDiv int
+	// policy boots every worker under the reference WSD-L artifact.
+	policy bool
+	// partitioned routes each edge to the workers owning its endpoints, and
+	// gives worker i partition slot i.
+	partitioned bool
+	// wal logs every batch to a write-ahead log before the fan-out.
+	wal bool
+}
+
+// runFleet is the cluster cells' body: three single-shard serve workers
+// (worker i seeded seed+i) behind httptest servers, a coordinator over them
+// fed pooled batches, then Flush — which drains every worker, so the gathered
+// estimate reflects the whole stream without Snapshot's state serialization,
+// which is not what the cells price — and Estimate.
+func runFleet(f fleet) cellFunc {
+	return func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
+		var closers []func()
+		defer func() {
+			for _, c := range closers {
+				c()
+			}
+		}()
+		var art *policy.Artifact
+		if f.policy {
+			var err error
+			if art, err = policy.New(sp.kind, policy.Reference(sp.kind), policy.Provenance{}); err != nil {
+				return 0, err
+			}
+		}
+		budgets := shard.SplitBudget(sp.m/f.budgetDiv, 3)
+		cfg := cluster.Config{Workers: make([]string, len(budgets)), Partitioned: f.partitioned}
+		for i := range budgets {
+			wc := serve.Config{
+				Pattern: sp.kind,
+				M:       budgets[i],
+				Shards:  1,
+				Options: []wsd.Option{wsd.WithSeed(seed + int64(i))},
+				Policy:  art,
+			}
+			if f.partitioned {
+				wc.PartitionIndex, wc.PartitionCount = i, len(budgets)
+			}
+			srv, err := serve.New(wc)
+			if err != nil {
+				return 0, err
+			}
+			ts := httptest.NewServer(srv.Handler())
+			closers = append(closers, ts.Close, func() { srv.Close() })
+			cfg.Workers[i] = ts.URL
+		}
+		if f.wal {
+			dir, err := os.MkdirTemp("", "wsdbench-wal-*")
+			if err != nil {
+				return 0, err
+			}
+			log, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				os.RemoveAll(dir)
+				return 0, err
+			}
+			closers = append(closers, func() { log.Close() }, func() { os.RemoveAll(dir) })
+			cfg.Log = log
+		}
+		coord, err := cluster.New(cfg)
+		if err != nil {
+			return 0, err
+		}
+		if err := feedPooled(s, coord.SubmitPooled); err != nil {
+			return 0, err
+		}
+		if err := coord.Flush(); err != nil {
+			return 0, err
+		}
+		est, err := coord.Estimate()
+		if err != nil {
+			return 0, err
+		}
+		return est.Estimate, nil
 	}
 }
 
@@ -307,33 +418,27 @@ func ingests() []ingestSpec {
 			},
 		},
 		{
-			// Four split-budget shards fed by the refcounted broadcast.
-			name: "shard4",
+			// The pipeline cell fed one event per Submit, each in its own
+			// envelope: the same counter and seed, so its MRE equals
+			// pipeline's, and submit - pipeline is what batching saves.
+			name:    "submit",
+			streams: []string{"dense-community"},
 			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				budgets := shard.SplitBudget(sp.m, 4)
-				counters := make([]shard.Counter, 4)
-				for i := range counters {
-					c, err := newCoreCounter(sp, budgets[i], seed+int64(i), true)
-					if err != nil {
-						return 0, err
-					}
-					counters[i] = c
-				}
-				e, err := shard.New(counters)
+				p, err := newPipeline(sp, seed)
 				if err != nil {
 					return 0, err
 				}
-				var pool stream.BatchPool
-				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := e.SubmitPooled(b); err != nil {
+				for _, ev := range s {
+					if err := p.Submit(ev); err != nil {
 						return 0, err
 					}
 				}
-				return e.Close(), nil
+				return p.Close(), nil
 			},
 		},
+		{name: "shard2", streams: []string{"dense-community"}, run: runShards(2)},
+		{name: "shard4", run: runShards(4)},
+		{name: "shard8", streams: []string{"dense-community"}, run: runShards(8)},
 		{
 			// One multi-pattern counter answering three pattern queries from
 			// one shared sample: the "one stream, many questions" operating
@@ -397,240 +502,40 @@ func ingests() []ingestSpec {
 			// deployment pays.
 			name:    "cluster3",
 			streams: []string{"dense-community"},
-			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				budgets := shard.SplitBudget(sp.m, 3)
-				urls := make([]string, len(budgets))
-				var closers []func()
-				defer func() {
-					for _, c := range closers {
-						c()
-					}
-				}()
-				for i := range budgets {
-					srv, err := serve.New(serve.Config{
-						Pattern: sp.kind,
-						M:       budgets[i],
-						Shards:  1,
-						Options: []wsd.Option{wsd.WithSeed(seed + int64(i))},
-					})
-					if err != nil {
-						return 0, err
-					}
-					ts := httptest.NewServer(srv.Handler())
-					closers = append(closers, ts.Close, func() { srv.Close() })
-					urls[i] = ts.URL
-				}
-				coord, err := cluster.New(cluster.Config{Workers: urls})
-				if err != nil {
-					return 0, err
-				}
-				var pool stream.BatchPool
-				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
-						return 0, err
-					}
-				}
-				// Flush drains every worker, so the gathered estimate
-				// reflects the whole stream — without Snapshot's state
-				// serialization, which is not what the cell prices.
-				if err := coord.Flush(); err != nil {
-					return 0, err
-				}
-				est, err := coord.Estimate()
-				if err != nil {
-					return 0, err
-				}
-				return est.Estimate, nil
-			},
+			run:     runFleet(fleet{budgetDiv: 1}),
 		},
 		{
 			// cluster3 with every worker booted under the reference WSD-L
 			// policy artifact (serve.Config.Policy — the wsdserve -policy
 			// path): what the fleet pays to run a learned weight function end
 			// to end, HTTP loopback and per-event policy evaluation included.
-			// Gated against cluster3 like cluster3-wal gates the durability
-			// tax.
 			name:    "cluster3-wsdl",
 			streams: []string{"dense-community"},
-			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				ref := policy.Reference(sp.kind)
-				art, err := policy.New(sp.kind, ref, policy.Provenance{})
-				if err != nil {
-					return 0, err
-				}
-				budgets := shard.SplitBudget(sp.m, 3)
-				urls := make([]string, len(budgets))
-				var closers []func()
-				defer func() {
-					for _, c := range closers {
-						c()
-					}
-				}()
-				for i := range budgets {
-					srv, err := serve.New(serve.Config{
-						Pattern: sp.kind,
-						M:       budgets[i],
-						Shards:  1,
-						Options: []wsd.Option{wsd.WithSeed(seed + int64(i))},
-						Policy:  art,
-					})
-					if err != nil {
-						return 0, err
-					}
-					ts := httptest.NewServer(srv.Handler())
-					closers = append(closers, ts.Close, func() { srv.Close() })
-					urls[i] = ts.URL
-				}
-				coord, err := cluster.New(cluster.Config{Workers: urls})
-				if err != nil {
-					return 0, err
-				}
-				var pool stream.BatchPool
-				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
-						return 0, err
-					}
-				}
-				if err := coord.Flush(); err != nil {
-					return 0, err
-				}
-				est, err := coord.Estimate()
-				if err != nil {
-					return 0, err
-				}
-				return est.Estimate, nil
-			},
+			run:     runFleet(fleet{budgetDiv: 1, policy: true}),
 		},
 		{
-			// The partitioned cluster layer: the same 3-worker fleet, but the
-			// coordinator routes each edge to the workers owning its endpoints
-			// instead of broadcasting to all of them, and the estimates
-			// compose by visibility-corrected summation. Each worker receives
-			// ~5/9 of the deliveries a broadcast would send it AND samples
-			// only its own disjoint substream, so the fleet holds broadcast-
-			// class accuracy on a fraction of the reservoir — the cell runs
-			// at a third of the cluster3 fleet budget, where the measured MRE
-			// stays within the acceptance-harness bounds in the broadcast
-			// row's ballpark, and gates the resulting ingest speedup (the
-			// mode's reason to exist).
+			// The partitioned cluster layer: the coordinator routes each edge
+			// to the workers owning its endpoints instead of broadcasting,
+			// and the estimates compose by visibility-corrected summation.
+			// Each worker receives ~5/9 of the deliveries a broadcast would
+			// send it AND samples only its own disjoint substream, so the
+			// fleet holds broadcast-class accuracy on a fraction of the
+			// reservoir — the cell runs at a third of the cluster3 fleet
+			// budget and gates the resulting ingest speedup (the mode's
+			// reason to exist).
 			name:    "cluster3-partitioned",
 			streams: []string{"dense-community"},
-			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				budgets := shard.SplitBudget(sp.m/3, 3)
-				urls := make([]string, len(budgets))
-				var closers []func()
-				defer func() {
-					for _, c := range closers {
-						c()
-					}
-				}()
-				for i := range budgets {
-					srv, err := serve.New(serve.Config{
-						Pattern:        sp.kind,
-						M:              budgets[i],
-						Shards:         1,
-						Options:        []wsd.Option{wsd.WithSeed(seed + int64(i))},
-						PartitionIndex: i,
-						PartitionCount: len(budgets),
-					})
-					if err != nil {
-						return 0, err
-					}
-					ts := httptest.NewServer(srv.Handler())
-					closers = append(closers, ts.Close, func() { srv.Close() })
-					urls[i] = ts.URL
-				}
-				coord, err := cluster.New(cluster.Config{Workers: urls, Partitioned: true})
-				if err != nil {
-					return 0, err
-				}
-				var pool stream.BatchPool
-				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
-						return 0, err
-					}
-				}
-				// Flush drains every worker, so the gathered estimate
-				// reflects the whole stream — without Snapshot's state
-				// serialization, which is not what the cell prices.
-				if err := coord.Flush(); err != nil {
-					return 0, err
-				}
-				est, err := coord.Estimate()
-				if err != nil {
-					return 0, err
-				}
-				return est.Estimate, nil
-			},
+			run:     runFleet(fleet{budgetDiv: 3, partitioned: true}),
 		},
 		{
 			// cluster3 with the write-ahead log on the broadcast path: every
 			// batch is canonicalized, appended (CRC'd, one write) and only
-			// then fanned out. The cell prices the durability tax against the
-			// cluster3 row — the append itself is allocation-free, so the
-			// delta should stay within the HTTP loopback noise.
+			// then fanned out. The WAL adds durability, not sampling, so the
+			// MRE equals cluster3's and the ns/event difference is the
+			// durability tax.
 			name:    "cluster3-wal",
 			streams: []string{"dense-community"},
-			run: func(sp streamSpec, s stream.Stream, _ []byte, seed int64) (float64, error) {
-				budgets := shard.SplitBudget(sp.m, 3)
-				urls := make([]string, len(budgets))
-				var closers []func()
-				defer func() {
-					for _, c := range closers {
-						c()
-					}
-				}()
-				for i := range budgets {
-					srv, err := serve.New(serve.Config{
-						Pattern: sp.kind,
-						M:       budgets[i],
-						Shards:  1,
-						Options: []wsd.Option{wsd.WithSeed(seed + int64(i))},
-					})
-					if err != nil {
-						return 0, err
-					}
-					ts := httptest.NewServer(srv.Handler())
-					closers = append(closers, ts.Close, func() { srv.Close() })
-					urls[i] = ts.URL
-				}
-				dir, err := os.MkdirTemp("", "wsdbench-wal-*")
-				if err != nil {
-					return 0, err
-				}
-				log, err := wal.Open(dir, wal.Options{})
-				if err != nil {
-					os.RemoveAll(dir)
-					return 0, err
-				}
-				closers = append(closers, func() { log.Close() }, func() { os.RemoveAll(dir) })
-				coord, err := cluster.New(cluster.Config{Workers: urls, Log: log})
-				if err != nil {
-					return 0, err
-				}
-				var pool stream.BatchPool
-				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
-						return 0, err
-					}
-				}
-				if err := coord.Flush(); err != nil {
-					return 0, err
-				}
-				est, err := coord.Estimate()
-				if err != nil {
-					return 0, err
-				}
-				return est.Estimate, nil
-			},
+			run:     runFleet(fleet{budgetDiv: 1, wal: true}),
 		},
 		{
 			// The windowed hot path: the bare counter in sliding-window mode.

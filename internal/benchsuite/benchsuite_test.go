@@ -1,6 +1,14 @@
 package benchsuite
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/shard"
+	"repro/internal/weights"
+	"repro/internal/xrand"
+)
 
 // syntheticReport builds a minimal valid report for comparator tests.
 func syntheticReport(workloads map[string]Result) *Report {
@@ -163,24 +171,32 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// requireEqualMREs runs the named cells at seed 1 and fails unless their
+// MREs are bit-equal; it returns their results.
+func requireEqualMREs(t *testing.T, trials int, cells ...string) []Result {
+	t.Helper()
+	rep, err := Run(Config{Seed: 1, Trials: trials, Only: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != len(cells) {
+		t.Fatalf("want the cells %v, got %d results", cells, len(rep.Results))
+	}
+	a := rep.Results[0]
+	for _, b := range rep.Results[1:] {
+		if a.MREVsExact != b.MREVsExact {
+			t.Fatalf("%s MRE %v differs from %s MRE %v", a.Workload, a.MREVsExact, b.Workload, b.MREVsExact)
+		}
+	}
+	return rep.Results
+}
+
 // TestTemporalCellMatchesCore: the WSD-H weight ignores the temporal
 // features, so computing them must not move the sample. core-temporal's MRE
 // equals core's bit for bit, which is what makes their ns/event difference
 // the features' cost and nothing else.
 func TestTemporalCellMatchesCore(t *testing.T) {
-	rep, err := Run(Config{Seed: 1, Trials: 2, Only: []string{
-		"core/dense-community", "core-temporal/dense-community",
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("want the core and core-temporal cells, got %d results", len(rep.Results))
-	}
-	a, b := rep.Results[0], rep.Results[1]
-	if a.MREVsExact != b.MREVsExact {
-		t.Fatalf("%s MRE %v differs from %s MRE %v", a.Workload, a.MREVsExact, b.Workload, b.MREVsExact)
-	}
+	requireEqualMREs(t, 2, "core/dense-community", "core-temporal/dense-community")
 }
 
 // TestPolicyCellAllocBudget pins the learned-policy ingest cell's allocation
@@ -207,5 +223,50 @@ func TestPolicyCellAllocBudget(t *testing.T) {
 	}
 	if r.MREVsExact < 0 || r.MREVsExact > 1 {
 		t.Fatalf("MRE out of range under the learned policy: %v", r.MREVsExact)
+	}
+}
+
+// TestSubmitCellMatchesPipeline: the submit cell feeds newPipeline's counter
+// the same events under the same seed as the pipeline cell, one envelope per
+// event instead of one per batch, so the sample and the MRE are the same and
+// their ns/event difference is what batching saves.
+func TestSubmitCellMatchesPipeline(t *testing.T) {
+	requireEqualMREs(t, 2, "pipeline/dense-community", "submit/dense-community")
+}
+
+// TestFleetCellsShareSample: the write-ahead log adds durability, not
+// sampling, so cluster3 and cluster3-wal run the same sample and their MREs
+// are bit-equal — both to each other and to an in-process ensemble of the
+// counters the workers run (worker i seeded seed+i, which the facade's
+// one-shard construction draws as xrand.NewSequence(seed+i, 0), over
+// SplitBudget(m, 3)). The test pins runFleet's seed and budget wiring.
+func TestFleetCellsShareSample(t *testing.T) {
+	const seed = 1 // the trial-0 seed of requireEqualMREs's run
+	got := requireEqualMREs(t, 1, "cluster3/dense-community", "cluster3-wal/dense-community")[0]
+	sp := streams()[0]
+	budgets := shard.SplitBudget(sp.m, 3)
+	counters := make([]shard.Counter, len(budgets))
+	for i := range counters {
+		c, err := core.New(core.Config{
+			M:            budgets[i],
+			Pattern:      sp.kind,
+			Weight:       weights.GPSDefault(),
+			Rng:          xrand.NewSequence(seed+int64(i), 0),
+			SkipTemporal: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters[i] = c
+	}
+	ens, err := shard.New(counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ens.SubmitBatch(sp.build(seed)); err != nil {
+		t.Fatal(err)
+	}
+	if want := metrics.RelErr(ens.Close(), got.Exact); got.MREVsExact != want {
+		t.Fatalf("fleet MRE %v, in-process ensemble of the workers' counters %v", got.MREVsExact, want)
 	}
 }

@@ -60,19 +60,15 @@ type Result struct {
 // Report is a full suite run: the machine-readable artifact recorded as
 // BENCH_<date>.json and compared across commits.
 type Report struct {
-	SchemaVersion int    `json:"schema_version"`
-	Suite         string `json:"suite"`
-	Seed          int64  `json:"seed"`
-	Trials        int    `json:"trials"`
-	GoVersion     string `json:"go_version"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
-	CPUs          int    `json:"cpus"`
-	// Reference optionally records measurements from an earlier revision
-	// (e.g. the pre-optimization ingest path) for context; the comparator
-	// ignores it.
-	Reference []Result `json:"reference,omitempty"`
-	Results   []Result `json:"results"`
+	SchemaVersion int      `json:"schema_version"`
+	Suite         string   `json:"suite"`
+	Seed          int64    `json:"seed"`
+	Trials        int      `json:"trials"`
+	GoVersion     string   `json:"go_version"`
+	GOOS          string   `json:"goos"`
+	GOARCH        string   `json:"goarch"`
+	CPUs          int      `json:"cpus"`
+	Results       []Result `json:"results"`
 }
 
 // Encode serializes the report as indented JSON with a trailing newline,

@@ -10,8 +10,8 @@ import (
 	"repro/internal/weights"
 )
 
-// GetTable implementations let generic drivers (cmd/wsdbench, benches) render
-// any result uniformly.
+// GetTable implementations let the Registry render any result
+// uniformly.
 
 // GetTable returns the rendered table.
 func (r *AccuracyResult) GetTable() *Table { return r.Table }

@@ -2,7 +2,7 @@
 // registry standing in for the paper's evaluation graphs, the deletion
 // scenarios, the trial runner computing ARE/MARE/time per algorithm, the
 // policy training cache backing WSD-L, and one generator function per table
-// and figure of the paper.
+// and figure of the paper, listed once in the experiment Registry.
 package experiment
 
 import (
@@ -47,10 +47,10 @@ func (d Dataset) Edges(seed int64) []graph.Edge {
 
 var edgeCache sync.Map
 
-// The registry scales the paper's graphs down ~300x (see DESIGN.md,
+// The dataset registry scales the paper's graphs down ~300x (see DESIGN.md,
 // Substitutions): each category keeps the structural property that drives
 // sampling behavior while the full suite stays laptop-sized.
-var registry = map[string]Dataset{
+var datasetRegistry = map[string]Dataset{
 	// Citation graphs: Forest Fire reproduces citation networks'
 	// densification, heavy-tailed in-degrees and community bursts.
 	"cit-HE": {
@@ -109,7 +109,7 @@ var registry = map[string]Dataset{
 
 // DatasetByName looks up a dataset.
 func DatasetByName(name string) (Dataset, error) {
-	d, ok := registry[name]
+	d, ok := datasetRegistry[name]
 	if !ok {
 		return Dataset{}, fmt.Errorf("experiment: unknown dataset %q", name)
 	}

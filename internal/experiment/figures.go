@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -450,6 +451,15 @@ func Fig4d(prof Profile) (*WeightRelResult, error) {
 type DeletionIntensityResult struct {
 	Massive *SweepResult
 	Light   *SweepResult
+}
+
+// GetTable returns the massive sweep's table with the light sweep's rows
+// appended under a section label.
+func (r *DeletionIntensityResult) GetTable() *Table {
+	combined := *r.Massive.Table
+	combined.Rows = append(slices.Clip(combined.Rows), []string{"-- light --"})
+	combined.Rows = append(combined.Rows, r.Light.Table.Rows...)
+	return &combined
 }
 
 // Fig5 reproduces Fig. 5: counting triangles on cit-PT while varying the

@@ -162,6 +162,14 @@ func TestSuiteGeneratorsSmoke(t *testing.T) {
 		if len(r.Massive.Xs) != 5 || len(r.Light.Xs) != 5 {
 			t.Fatalf("beta sweep points: %d massive, %d light", len(r.Massive.Xs), len(r.Light.Xs))
 		}
+		// The registry renders both sweeps as one table, light rows under
+		// their own label, without touching the massive sweep's table.
+		for range 2 {
+			rows := r.GetTable().Rows
+			if len(rows) != 11 || rows[5][0] != "-- light --" || len(r.Massive.Table.Rows) != 5 {
+				t.Fatalf("merged Fig. 5 table has %d rows, massive table %d:\n%s", len(rows), len(r.Massive.Table.Rows), r.GetTable())
+			}
+		}
 	})
 
 	t.Run("ablations", func(t *testing.T) {
@@ -202,5 +210,17 @@ func TestGetTableAccessors(t *testing.T) {
 	out := r.GetTable().String()
 	if !strings.Contains(out, "Table VI") {
 		t.Fatalf("rendered output missing title:\n%s", out)
+	}
+}
+
+// TestRegistryIDs: the registry is the one experiment list wsdbench and the
+// root benchmarks read, so its ids must be unique and non-empty.
+func TestRegistryIDs(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Registry() {
+		if e.ID == "" || e.Run == nil || seen[e.ID] {
+			t.Fatalf("bad or duplicate registry entry %q", e.ID)
+		}
+		seen[e.ID] = true
 	}
 }
