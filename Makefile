@@ -37,16 +37,19 @@ docs-check: fmt vet
 
 # The fleet under the race detector. Every coordinator mode (broadcast,
 # broadcast + WAL, partitioned, partitioned + WAL) runs one ingest path —
-# route, log, stamped send, ack — so one target covers them all: coordinator
-# vs equal-budget in-process ensemble and routed partitions vs bit-identical
-# in-process references, snapshot->restore, degraded reads, the
+# route, encode and log, stamped send, ack — so one target covers them all:
+# coordinator vs equal-budget in-process ensemble and routed partitions vs
+# bit-identical in-process references, snapshot->restore, degraded reads, the
 # fault-injection suites (worker killed mid-stream and restarted empty must
 # rejoin bit-identically via log replay, coordinator crash over a torn frame
 # must recover, duplicated delivery and apply-then-lost response must never
-# double-apply, a short apply is never acked), stamped-ingest dedup on the
+# double-apply, a short apply is never acked), the frame-identity check
+# (every worker's delivered frame payloads equal its slot's logged payloads
+# byte for byte, broadcast and partitioned), stamped-ingest dedup on the
 # worker, the write-ahead log's unit/property/alloc guards, the
 # ownership/Beta suite and the combiners, then a short fuzz pass over
-# segment recovery.
+# segment recovery (an append after recovery must replay as the very bytes
+# appended).
 fleet-smoke:
 	$(GO) test -race -run 'Cluster|Coordinator|Degraded|WAL|CatchUp|Torn|Retention|Lagging|LogMode|RestoreSeeds|Partition|SumCombine|AckAmbiguity|Idempotent|FlagConflict' ./internal/cluster/ ./internal/serve/ ./cmd/wsdserve/
 	$(GO) test -race ./internal/wal/ ./internal/partition/ ./internal/combine/

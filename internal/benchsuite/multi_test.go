@@ -17,30 +17,37 @@ func TestMultiPatternIngestCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock ratio measurement")
 	}
-	rep, err := Run(Config{Seed: 1, Trials: 2, Only: []string{
-		"core/dense-community", "multi3/dense-community", "single3x/dense-community",
-	}})
-	if err != nil {
-		t.Fatal(err)
+	// Load from a neighbouring test binary lands on whichever cell is
+	// running, so the cells run in rounds of one trial each, the first cell
+	// rotating, and the bounds hold on each cell's fastest round: the
+	// minimum is the measurement least disturbed by that load.
+	const rounds = 3
+	cells := []string{"core/dense-community", "multi3/dense-community", "single3x/dense-community"}
+	fastest := map[string]Result{}
+	for r := 0; r < rounds; r++ {
+		for k := range cells {
+			name := cells[(r+k)%len(cells)]
+			rep, err := Run(Config{Seed: 1, Trials: 1, Only: []string{name}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Results) != 1 || rep.Results[0].Workload != name {
+				t.Fatalf("Run(%s) measured %v", name, rep.Results)
+			}
+			if res, seen := fastest[name]; !seen || rep.Results[0].NsPerEvent < res.NsPerEvent {
+				fastest[name] = rep.Results[0]
+			}
+		}
 	}
-	byName := map[string]Result{}
-	for _, r := range rep.Results {
-		byName[r.Workload] = r
-	}
-	core, ok1 := byName["core/dense-community"]
-	multi, ok2 := byName["multi3/dense-community"]
-	singles, ok3 := byName["single3x/dense-community"]
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatalf("missing workloads in %v", rep.Results)
-	}
+	core, multi, singles := fastest[cells[0]], fastest[cells[1]], fastest[cells[2]]
 
 	if ratio := multi.NsPerEvent / core.NsPerEvent; ratio >= 2.5 {
-		t.Errorf("3-pattern ingest costs %.2fx the single-pattern path (%.0f vs %.0f ns/event), want < 2.5x",
-			ratio, multi.NsPerEvent, core.NsPerEvent)
+		t.Errorf("3-pattern ingest costs %.2fx the single-pattern path (%.0f vs %.0f ns/event, fastest of %d rounds), want < 2.5x",
+			ratio, multi.NsPerEvent, core.NsPerEvent, rounds)
 	}
 	if multi.NsPerEvent >= singles.NsPerEvent {
-		t.Errorf("multi3 (%.0f ns/event) is not cheaper than three separate counters (%.0f ns/event)",
-			multi.NsPerEvent, singles.NsPerEvent)
+		t.Errorf("multi3 (%.0f ns/event) is not cheaper than three separate counters (%.0f ns/event), fastest of %d rounds",
+			multi.NsPerEvent, singles.NsPerEvent, rounds)
 	}
 	// The multi counter's primary pattern shares the single counter's exact
 	// sampling trajectory, so their estimates — and MREs — must be identical.

@@ -19,11 +19,13 @@
 // its stream in one global order) each batch goes through four steps:
 //
 //   - Route: split the batch into shares, one per routing slot.
-//   - Log: append each share to its slot's write-ahead log, durable before
-//     any worker sees it.
-//   - Stamped send: deliver each worker its share, encoded once, stamped
-//     with the share's stream position when it is logged (so duplicates and
-//     replays are idempotent on the worker).
+//   - Encode and log: encode each share once into wire frames, appending
+//     each frame payload to the slot's write-ahead log as it joins the wire
+//     body — so a logged frame and a delivered frame are the same bytes —
+//     and every share is durable before any worker sees one.
+//   - Stamped send: deliver each worker its share's body, stamped with the
+//     share's stream position when it is logged (so duplicates and replays
+//     are idempotent on the worker).
 //   - Ack: a worker that provably applied its whole share is acknowledged
 //     at the log end; one that did not is marked lagging when its share is
 //     logged, inconsistent when it is not.
@@ -41,8 +43,10 @@
 //     unbiased. A missing partition is a missing share of the count, not a
 //     lost vote, so the quorum is pinned to the fleet size.
 //   - Durability (Config.Log in broadcast mode, Config.Logs — one per
-//     partition — in partitioned mode). Without a log, the share is not
-//     logged, the send is unstamped, and a missed delivery is permanent.
+//     partition — in partitioned mode). Either way the coordinator keeps one
+//     log per routing slot, and Logs and Health report them as one list in
+//     slot order. Without a log, the share is not logged, the send is
+//     unstamped, and a missed delivery is permanent.
 //
 // Consistency model. A worker is *consistent* while its state provably
 // summarizes its stream: every share routed to it since the cluster's start
@@ -239,27 +243,44 @@ type Coordinator struct {
 }
 
 // share is one routing slot's part of the batch being submitted: its
-// events, their reused wire body and frame-payload scratch, the stream
-// position of its first event on its log (-1 when the slot has no log), and
-// the log end after the append.
+// events, the slot's write-ahead log (nil without durability), their reused
+// wire body and frame-payload scratch, the stream position of its first
+// event on the log (-1 when the slot has no log), and the log end after the
+// append.
 type share struct {
 	evs           []stream.Event
+	log           *wal.Log
 	body, payload []byte
 	stamp         int64
 	end           WALMark
 }
 
-// encode canonicalizes the share into one binary wire body: the stream
-// header, then frames of at most stream.MaxFrameEvents events — the
-// boundaries appendFrames logs, so a logged frame and a delivered frame are
-// always the same bytes.
-func (sh *share) encode() {
+// encode canonicalizes the share into one binary wire body — the stream
+// header, then frames of at most stream.MaxFrameEvents events — and logs
+// each frame payload as it joins the body, so a logged frame and a delivered
+// frame are the same bytes by construction. After an append error the body
+// is incomplete and must not be sent; the frames logged before the failure
+// stay on the log.
+func (sh *share) encode() error {
 	sh.body = stream.AppendBinaryHeader(sh.body[:0])
+	sh.stamp = -1
+	if sh.log != nil {
+		sh.stamp = sh.log.Events()
+	}
 	for lo := 0; lo < len(sh.evs); lo += stream.MaxFrameEvents {
 		sh.payload = stream.AppendFramePayload(sh.payload[:0], sh.evs[lo:min(lo+stream.MaxFrameEvents, len(sh.evs))])
+		if sh.log != nil {
+			if _, err := sh.log.Append(sh.payload); err != nil {
+				return err
+			}
+		}
 		sh.body = binary.AppendUvarint(sh.body, uint64(len(sh.payload)))
 		sh.body = append(sh.body, sh.payload...)
 	}
+	if sh.log != nil {
+		sh.end = WALMark{Position: sh.log.End(), Events: sh.log.Events()}
+	}
+	return nil
 }
 
 // New validates the worker list and returns a coordinator. The workers are
@@ -336,13 +357,13 @@ func New(cfg Config) (*Coordinator, error) {
 	} else if cfg.Log != nil {
 		wals = []*wal.Log{cfg.Log}
 	}
+	shares := make([]share, slots)
+	for i, lg := range wals {
+		shares[i].log = lg
+	}
 	return &Coordinator{workers: refs, comb: comb, quorum: quorum, client: client,
-		partitioned: cfg.Partitioned, wals: wals, shares: make([]share, slots)}, nil
+		partitioned: cfg.Partitioned, wals: wals, shares: shares}, nil
 }
-
-// Partitioned reports whether the coordinator routes by partition instead of
-// broadcasting.
-func (c *Coordinator) Partitioned() bool { return c.partitioned }
 
 // slot is the routing slot worker w receives its share from: the one fleet
 // slot in broadcast mode, its partition otherwise.
@@ -575,22 +596,20 @@ func (c *Coordinator) submit(evs []stream.Event) (IngestResult, error) {
 		return res, fmt.Errorf("%w: %d serving of %d (need %d)", ErrNoQuorum, len(live), len(c.workers), c.quorum)
 	}
 	c.route(evs)
+	// Durable before delivered: every share is encoded and logged before any
+	// worker sees one. The stamp is the log position before the share: every
+	// delivery of these frames — this send, a catch-up replay, or a duplicate
+	// of either — declares the same position, so a worker applies the events
+	// exactly once however many copies reach it.
 	for i := range c.shares {
-		c.shares[i].encode()
-		c.shares[i].stamp = -1
-	}
-	// Durable before delivered. The stamp is the log position before the
-	// share: every delivery of these frames — this send, a catch-up replay,
-	// or a duplicate of either — declares the same position, so a worker
-	// applies the events exactly once however many copies reach it.
-	for i, lg := range c.wals {
-		sh := &c.shares[i]
-		sh.stamp = lg.Events()
-		if err := appendFrames(lg, sh.evs); err != nil {
+		if err := c.shares[i].encode(); err != nil {
 			// Earlier slots' logs hold their shares but no worker has seen
 			// them: mark those workers lagging so replay delivers the durable
-			// tail. In broadcast mode nothing was logged and the client can
-			// retry once the log is writable again.
+			// tail. This slot's log may hold part of its share too — the
+			// frames before a failed later frame, or the whole frame when the
+			// segment rotation after its write failed. Its workers are not
+			// marked: the next stamped send finds the gap and replay delivers
+			// those frames, so a client retry of this batch logs them twice.
 			for _, w := range live {
 				if j := c.slot(w); j < i && len(c.shares[j].evs) > 0 {
 					w.lagging.Store(true)
@@ -598,7 +617,6 @@ func (c *Coordinator) submit(evs []stream.Event) (IngestResult, error) {
 			}
 			return res, fmt.Errorf("cluster: write-ahead log %d append: %w", i, err)
 		}
-		sh.end = WALMark{Position: lg.End(), Events: lg.Events()}
 	}
 	errs := fanout(live, func(_ int, w *workerRef) error {
 		sh := &c.shares[c.slot(w)]
@@ -675,16 +693,6 @@ func (c *Coordinator) route(evs []stream.Event) {
 			c.shares[b].evs = append(c.shares[b].evs, ev)
 		}
 	}
-}
-
-// appendFrames logs evs as frames of at most stream.MaxFrameEvents events.
-func appendFrames(lg *wal.Log, evs []stream.Event) error {
-	for lo := 0; lo < len(evs); lo += stream.MaxFrameEvents {
-		if _, err := lg.Append(evs[lo:min(lo+stream.MaxFrameEvents, len(evs))]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // truncateToMinAck retires, on every log, the sealed segments all of that
@@ -871,23 +879,10 @@ func (c *Coordinator) CatchUp() error {
 	return nil
 }
 
-// Log returns the attached write-ahead log (nil without one, and nil in
-// partitioned mode — see Logs).
-func (c *Coordinator) Log() *wal.Log {
-	if c.partitioned || c.wals == nil {
-		return nil
-	}
-	return c.wals[0]
-}
-
-// Logs returns the per-partition write-ahead logs of a partitioned
-// coordinator (nil without durability, and nil in broadcast mode — see Log).
-func (c *Coordinator) Logs() []*wal.Log {
-	if !c.partitioned {
-		return nil
-	}
-	return c.wals
-}
+// Logs returns the write-ahead logs, one per routing slot: the one fleet log
+// in broadcast mode, one per partition (fleet order) in partitioned mode, and
+// nil without durability.
+func (c *Coordinator) Logs() []*wal.Log { return c.wals }
 
 // Estimate is a combined scatter/gather read over the worker fleet.
 type Estimate struct {
@@ -1228,16 +1223,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// IsClusterSnapshot reports whether data looks like a cluster Snapshot blob
-// (as opposed to a single-process ensemble or counter snapshot) without
-// fully validating it.
-func IsClusterSnapshot(data []byte) bool {
-	var probe struct {
-		ClusterVersion int `json:"cluster_version"`
-	}
-	return json.Unmarshal(data, &probe) == nil && probe.ClusterVersion > 0
-}
-
 // Restore fans a cluster snapshot back out: worker i receives blob i on
 // POST /restore. The blob must hold exactly one ensemble per configured
 // worker; each worker re-validates its blob against its own configuration
@@ -1503,7 +1488,7 @@ type WorkerHealth struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// WALHealth is the coordinator's view of its write-ahead log.
+// WALHealth is the coordinator's view of one write-ahead log.
 type WALHealth struct {
 	Dir string `json:"dir"`
 	// Base..End is the retained position range; Events the cumulative event
@@ -1547,9 +1532,9 @@ type Health struct {
 	// mis-deployed worker (wrong -partition-index, or not partitioned at all)
 	// degrades health instead of silently biasing every read.
 	Partitioned bool `json:"partitioned,omitempty"`
-	// WAL reports the write-ahead log's retained range (broadcast log mode);
-	// WALs the per-partition ranges (partitioned log mode, fleet order).
-	WAL  *WALHealth  `json:"wal,omitempty"`
+	// WALs reports each write-ahead log's retained range, one entry per
+	// routing slot: one in broadcast mode, one per partition (fleet order) in
+	// partitioned mode, none without durability.
 	WALs []WALHealth `json:"wals,omitempty"`
 	// WorkersDetail lists every configured worker.
 	WorkersDetail []WorkerHealth `json:"workers_detail"`
@@ -1564,14 +1549,8 @@ type Health struct {
 func (c *Coordinator) Health() Health {
 	h := Health{Workers: len(c.workers), Quorum: c.quorum, Partitioned: c.partitioned}
 	h.WorkersDetail = make([]WorkerHealth, len(c.workers))
-	wals := make([]WALHealth, len(c.wals))
-	for i, lg := range c.wals {
-		wals[i] = WALHealth{Dir: lg.Dir(), Base: lg.Base(), End: lg.End(), Events: lg.Events(), Segments: lg.Segments()}
-	}
-	if c.partitioned && c.wals != nil {
-		h.WALs = wals
-	} else if c.wals != nil {
-		h.WAL = &wals[0]
+	for _, lg := range c.wals {
+		h.WALs = append(h.WALs, WALHealth{Dir: lg.Dir(), Base: lg.Base(), End: lg.End(), Events: lg.Events(), Segments: lg.Segments()})
 	}
 	type workerHealthz struct {
 		Patterns  []string `json:"patterns"`

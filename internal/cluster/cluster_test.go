@@ -193,8 +193,8 @@ func TestClusterSnapshotRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.IsClusterSnapshot(blob) {
-		t.Fatal("snapshot blob not recognized as a cluster snapshot")
+	if _, err := cluster.DecodeSnapshot(blob); err != nil {
+		t.Fatalf("snapshot blob not recognized as a cluster snapshot: %v", err)
 	}
 
 	// Fleet C: brand-new workers (deliberately different construction seeds

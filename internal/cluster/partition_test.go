@@ -113,7 +113,7 @@ func TestPartitionedClusterMatchesRoutedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !coord.Partitioned() {
+	if !coord.Health().Partitioned {
 		t.Fatal("coordinator does not report partitioned mode")
 	}
 	feed(t, coord, s)

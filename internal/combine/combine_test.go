@@ -16,6 +16,7 @@ func TestMean(t *testing.T) {
 		{"single", []float64{7}, 7},
 		{"uniform", []float64{2, 2, 2, 2}, 2},
 		{"mixed", []float64{1, 2, 3, 4}, 2.5},
+		{"heavy tail", []float64{1, 9, 2, 8, 100}, 24},
 		{"negative", []float64{-3, 3}, 0},
 	}
 	for _, c := range cases {
@@ -73,22 +74,28 @@ func TestSumCombineVectorsRejectionParity(t *testing.T) {
 
 func TestMedianOfMeansDegenerateCases(t *testing.T) {
 	in := []float64{5, 1, 9, 3}
-	if got := MedianOfMeans(0)(in); got != Mean(in) {
-		t.Errorf("groups=0 should degenerate to the mean: got %v, want %v", got, Mean(in))
+	cases := []struct {
+		name   string
+		groups int
+		in     []float64
+		want   float64
+	}{
+		{"groups=0 degenerates to the mean", 0, in, 4.5},
+		{"groups=1 degenerates to the mean", 1, in, 4.5},
+		// groups >= K is the plain median: sorted means are the elements
+		// themselves, so for {1,3,5,9} the median is (3+5)/2.
+		{"groups=K median", 4, in, 4},
+		{"groups>K median", 99, in, 4},
+		{"groups=K median, odd K", 5, []float64{1, 9, 2, 8, 100}, 8},
+		// An even group count takes the mean of the middle two group means:
+		// {1,3} and {10,20} average to 2 and 15.
+		{"even group count", 2, []float64{1, 3, 10, 20}, (2 + 15) / 2.0},
+		{"empty input", 3, nil, 0},
 	}
-	if got := MedianOfMeans(1)(in); got != Mean(in) {
-		t.Errorf("groups=1 should degenerate to the mean: got %v, want %v", got, Mean(in))
-	}
-	// groups >= K is the plain median: sorted means are the elements
-	// themselves, so for {1,3,5,9} the median is (3+5)/2.
-	if got := MedianOfMeans(4)(in); got != 4 {
-		t.Errorf("groups=K median = %v, want 4", got)
-	}
-	if got := MedianOfMeans(99)(in); got != 4 {
-		t.Errorf("groups>K median = %v, want 4", got)
-	}
-	if got := MedianOfMeans(3)(nil); got != 0 {
-		t.Errorf("empty input = %v, want 0", got)
+	for _, c := range cases {
+		if got := MedianOfMeans(c.groups)(append([]float64(nil), c.in...)); got != c.want {
+			t.Errorf("%s: MedianOfMeans(%d)(%v) = %v, want %v", c.name, c.groups, c.in, got, c.want)
+		}
 	}
 }
 

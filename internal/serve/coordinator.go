@@ -54,31 +54,22 @@ func (c *Coordinator) Handler() http.Handler {
 
 // catchUp triggers an explicit fleet catch-up against the write-ahead log:
 // every worker is probed, re-aligned, and replayed to the log end. Success
-// means the whole fleet is caught up; an error wrapping
-// cluster.ErrCatchUpIncomplete (502) means some worker still lags — the
-// coordinator keeps retrying at each ingest — and any other error (400) means
-// the coordinator runs without a log.
+// means the whole fleet is caught up, and the reply carries each log's end,
+// one wals entry per routing slot (one in broadcast mode, one per partition
+// in partitioned mode); an error wrapping cluster.ErrCatchUpIncomplete (502)
+// means some worker still lags — the coordinator keeps retrying at each
+// ingest — and any other error (400) means the coordinator runs without a
+// log.
 func (c *Coordinator) catchUp() (any, error) {
 	if err := c.coord.CatchUp(); err != nil {
 		return nil, err
 	}
-	reply := map[string]any{
-		"caught_up": true,
-		"workers":   c.coord.Workers(),
+	logs := c.coord.Logs()
+	marks := make([]cluster.WALMark, len(logs))
+	for i, lg := range logs {
+		marks[i] = cluster.WALMark{Position: lg.End(), Events: lg.Events()}
 	}
-	if logs := c.coord.Logs(); logs != nil {
-		// Partitioned mode: one position per partition log, fleet order.
-		marks := make([]cluster.WALMark, len(logs))
-		for i, lg := range logs {
-			marks[i] = cluster.WALMark{Position: lg.End(), Events: lg.Events()}
-		}
-		reply["partitions"] = marks
-	} else {
-		log := c.coord.Log()
-		reply["position"] = log.End()
-		reply["events"] = log.Events()
-	}
-	return reply, nil
+	return map[string]any{"caught_up": true, "workers": c.coord.Workers(), "wals": marks}, nil
 }
 
 // ingest serves POST /ingest: the body is decoded whole, then routed, logged

@@ -66,8 +66,8 @@ func TestCoordinatorEndpoints(t *testing.T) {
 	}
 
 	blob := get(t, fx.ts.URL+"/snapshot") // quiesces every worker
-	if !cluster.IsClusterSnapshot(blob) {
-		t.Fatal("/snapshot did not return a cluster blob")
+	if _, err := cluster.DecodeSnapshot(blob); err != nil {
+		t.Fatalf("/snapshot did not return a cluster blob: %v", err)
 	}
 
 	var est struct {

@@ -78,21 +78,6 @@ type VectorCounter interface {
 // Close.
 var ErrClosed = errors.New("shard: ensemble closed")
 
-// Combiner folds the K shard estimates into the ensemble estimate. It is an
-// alias of combine.Func: the in-process ensemble and the cross-process
-// cluster coordinator (internal/cluster) share the exact combining math.
-type Combiner = combine.Func
-
-// Mean is the default combiner: the arithmetic mean of the shard estimates
-// (combine.Mean). It preserves unbiasedness exactly.
-func Mean(estimates []float64) float64 { return combine.Mean(estimates) }
-
-// MedianOfMeans returns a combiner (combine.MedianOfMeans) that partitions
-// the shard estimates into the given number of contiguous groups, averages
-// within each group, and takes the median of the group means — robust to the
-// heavy right tail of inverse-probability estimates.
-func MedianOfMeans(groups int) Combiner { return combine.MedianOfMeans(groups) }
-
 // SplitBudget divides a total reservoir budget across shards as evenly as
 // possible: each shard gets total/shards edges and the first total%shards
 // shards get one extra, so the budgets sum to exactly total. Every
@@ -184,7 +169,7 @@ func (w *worker) run() {
 // estimates. Construct with New; the zero value is not usable.
 type Ensemble struct {
 	workers []*worker
-	combine Combiner
+	combine combine.Func
 	// numEstimates is the per-shard estimate vector width: 1 for plain
 	// counters, the pattern count when every shard is a VectorCounter.
 	numEstimates int
@@ -208,7 +193,7 @@ type Option func(*config)
 
 type config struct {
 	buffer  int
-	combine Combiner
+	combine combine.Func
 	base    int64
 }
 
@@ -218,8 +203,8 @@ func WithBuffer(n int) Option {
 	return func(c *config) { c.buffer = n }
 }
 
-// WithCombiner replaces the default Mean combiner.
-func WithCombiner(fn Combiner) Option {
+// WithCombiner replaces the default combine.Mean combiner.
+func WithCombiner(fn combine.Func) Option {
 	return func(c *config) { c.combine = fn }
 }
 
@@ -241,7 +226,7 @@ func New(counters []Counter, opts ...Option) (*Ensemble, error) {
 	if len(counters) == 0 {
 		return nil, fmt.Errorf("shard: ensemble needs at least one counter")
 	}
-	cfg := config{buffer: 4, combine: Mean}
+	cfg := config{buffer: 4, combine: combine.Mean}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/pattern"
@@ -100,39 +101,13 @@ func TestMatchesSequential(t *testing.T) {
 					t.Fatalf("shard %d estimate = %v, sequential %v", i, got[i], want[i])
 				}
 			}
-			if final != Mean(want) {
-				t.Fatalf("ensemble %v, mean of sequential %v", final, Mean(want))
+			if final != combine.Mean(want) {
+				t.Fatalf("ensemble %v, mean of sequential %v", final, combine.Mean(want))
 			}
 			if e.Processed() != int64(len(s)) {
 				t.Fatalf("processed %d, want %d", e.Processed(), len(s))
 			}
 		})
-	}
-}
-
-func TestCombiners(t *testing.T) {
-	xs := []float64{1, 9, 2, 8, 100}
-	if got := Mean(xs); got != 24 {
-		t.Fatalf("Mean = %v, want 24", got)
-	}
-	// groups >= len: plain median.
-	if got := MedianOfMeans(5)(append([]float64(nil), xs...)); got != 8 {
-		t.Fatalf("median = %v, want 8", got)
-	}
-	// groups=1 degenerates to the mean.
-	if got := MedianOfMeans(1)(append([]float64(nil), xs...)); got != 24 {
-		t.Fatalf("MoM(1) = %v, want 24", got)
-	}
-	// Even group count: mean of the middle two group means.
-	ys := []float64{1, 3, 10, 20}
-	if got := MedianOfMeans(2)(ys); got != (2+15)/2.0 {
-		t.Fatalf("MoM(2) = %v, want 8.5", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v, want 0", got)
-	}
-	if got := MedianOfMeans(3)(nil); got != 0 {
-		t.Fatalf("MoM(nil) = %v, want 0", got)
 	}
 }
 

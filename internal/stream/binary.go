@@ -101,8 +101,9 @@ func (bw *BinaryWriter) WriteBatch(evs []Event) error {
 // AppendFramePayload encodes one frame payload — uvarint(eventCount) followed
 // by the varint-packed events — appended to dst, and returns the extended
 // slice. It is the single definition of the payload encoding, shared by
-// writeFrame and by the write-ahead log, whose segment records store exactly
-// these bytes so a logged frame replays verbatim onto the wire.
+// writeFrame and by the cluster coordinator, which encodes each frame once
+// and hands the same bytes to the wire body and to the write-ahead log
+// (internal/wal), so a logged frame replays verbatim onto the wire.
 func AppendFramePayload(dst []byte, evs []Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
 	for _, ev := range evs {

@@ -33,7 +33,7 @@ func TestConcurrentAppendReplayTruncate(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 1; k <= frames; k++ {
-			if _, err := l.Append(frame(k, 1+k%17)); err != nil {
+			if _, err := l.Append(payloadOf(frame(k, 1+k%17))); err != nil {
 				t.Errorf("append %d: %v", k, err)
 				return
 			}
@@ -51,7 +51,7 @@ func TestConcurrentAppendReplayTruncate(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				from := l.Base()
 				last := from
-				err := l.Replay(from, func(pos uint64, evs []stream.Event) error {
+				err := replay(l, from, func(pos uint64, evs []stream.Event) error {
 					if pos != last+1 {
 						t.Errorf("replay position %d after %d: not monotonic", pos, last)
 					}
@@ -109,7 +109,7 @@ func TestConcurrentAppendReplayTruncate(t *testing.T) {
 		t.Fatalf("Events = %d, want %d", l.Events(), total)
 	}
 	last := l.Base()
-	if err := l.Replay(l.Base(), func(pos uint64, evs []stream.Event) error {
+	if err := replay(l, l.Base(), func(pos uint64, evs []stream.Event) error {
 		if pos != last+1 {
 			t.Fatalf("final replay position %d after %d", pos, last)
 		}

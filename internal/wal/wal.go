@@ -18,10 +18,11 @@
 //	record:  uvarint(payloadBytes) payload crc32c(payload, 4, LE)
 //
 // A record's payload is byte-for-byte a WSDB binary stream frame payload
-// (internal/stream: uvarint(eventCount) followed by varint-packed events), so
-// replay assembles valid /ingest bodies by concatenating stored payloads
-// behind a stream header — no re-encode, and the frame boundaries a worker
-// applies during replay are exactly the ones it would have applied live.
+// (internal/stream: uvarint(eventCount) followed by varint-packed events).
+// Append takes the payload already encoded — the coordinator logs the very
+// bytes it puts on the wire — and replay assembles valid /ingest bodies by
+// concatenating stored payloads behind a stream header: the frames, and frame
+// boundaries, a worker applies during replay are the ones it was sent live.
 //
 // Positions are 1-based frame indexes, monotonic across segments and across
 // reopens. Appends go to the last (active) segment, which seals and rotates
@@ -111,10 +112,9 @@ type Log struct {
 	// boundary (PosForEvents) and prices a replay (EventsAt).
 	cum []int64
 
-	payloadBuf []byte
-	recordBuf  []byte
-	closed     bool
-	broken     bool
+	recordBuf []byte
+	closed    bool
+	broken    bool
 }
 
 func segName(base uint64) string { return fmt.Sprintf("wal-%020d.seg", base) }
@@ -374,13 +374,19 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Append logs one frame of events and returns its position. The record is
-// assembled in a reused scratch buffer and lands in a single write, so a
-// concurrent replayer sees whole records only and steady-state appends
-// allocate nothing. Empty batches return the current end without writing.
-// Batches above stream.MaxFrameEvents are the caller's splitting duty — the
-// bound keeps every logged frame broadcastable as one wire frame.
-func (l *Log) Append(evs []stream.Event) (uint64, error) {
+// Append logs one encoded frame payload — the output of
+// stream.AppendFramePayload: uvarint(eventCount) followed by the packed
+// events — and returns its position. The bytes are stored verbatim, so the
+// logged frame is exactly the frame the caller sends. Append checks only the
+// count prefix and the size limits (at most stream.MaxFrameEvents events and
+// stream.MaxFrameBytes bytes, so every logged frame is broadcastable as one
+// wire frame); the events themselves are trusted, because the only producer
+// is the coordinator's own encoder, and Open still validates every frame in
+// full. A zero-count payload returns the current end without writing. The
+// record is assembled in a reused scratch buffer and lands in a single
+// write, so a concurrent replayer sees whole records only and steady-state
+// appends allocate nothing.
+func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -389,14 +395,17 @@ func (l *Log) Append(evs []stream.Event) (uint64, error) {
 	if l.broken {
 		return 0, fmt.Errorf("wal: log failed a write; reopen to recover")
 	}
-	if len(evs) == 0 {
+	count, n := binary.Uvarint(payload)
+	switch {
+	case n <= 0:
+		return 0, fmt.Errorf("wal: frame payload has no valid event count")
+	case count == 0:
 		return l.end, nil
+	case count > stream.MaxFrameEvents:
+		return 0, fmt.Errorf("wal: frame of %d events exceeds the %d-event frame limit", count, stream.MaxFrameEvents)
+	case len(payload) > stream.MaxFrameBytes:
+		return 0, fmt.Errorf("wal: frame of %d bytes exceeds the %d-byte frame limit", len(payload), stream.MaxFrameBytes)
 	}
-	if len(evs) > stream.MaxFrameEvents {
-		return 0, fmt.Errorf("wal: batch of %d events exceeds the %d-event frame limit", len(evs), stream.MaxFrameEvents)
-	}
-	l.payloadBuf = stream.AppendFramePayload(l.payloadBuf[:0], evs)
-	payload := l.payloadBuf
 	l.recordBuf = binary.AppendUvarint(l.recordBuf[:0], uint64(len(payload)))
 	l.recordBuf = append(l.recordBuf, payload...)
 	l.recordBuf = binary.LittleEndian.AppendUint32(l.recordBuf, crc32.Checksum(payload, castagnoli))
@@ -415,7 +424,7 @@ func (l *Log) Append(evs []stream.Event) (uint64, error) {
 	seg.size += int64(len(l.recordBuf))
 	seg.frames++
 	l.end++
-	l.endEvents += int64(len(evs))
+	l.endEvents += int64(count)
 	l.cum = append(l.cum, l.endEvents)
 	pos := l.end
 	if seg.size >= l.opts.SegmentBytes {
@@ -619,20 +628,6 @@ func (l *Log) ReplayPayloads(from uint64, fn func(pos uint64, events int, payloa
 		}
 	}
 	return nil
-}
-
-// Replay is ReplayPayloads with the events decoded: fn receives each frame's
-// position and its events in a buffer reused between calls.
-func (l *Log) Replay(from uint64, fn func(pos uint64, evs []stream.Event) error) error {
-	var scratch []stream.Event
-	return l.ReplayPayloads(from, func(pos uint64, _ int, payload []byte) error {
-		var err error
-		scratch, err = stream.DecodeFramePayload(scratch[:0], payload)
-		if err != nil {
-			return err
-		}
-		return fn(pos, scratch)
-	})
 }
 
 // Sync fsyncs the active segment.

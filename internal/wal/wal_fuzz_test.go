@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,7 +19,7 @@ func segmentSeed(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	for k, n := range []int{1, 9, 200} {
-		if _, err := l.Append(frame(k, n)); err != nil {
+		if _, err := l.Append(payloadOf(frame(k, n))); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -36,7 +37,8 @@ func segmentSeed(tb testing.TB) []byte {
 // Open over a single fuzzed segment must recover (truncating a torn tail) or
 // reject with an error — never panic — and whatever it accepts must behave
 // like a log: replay in strictly increasing positions with event counts that
-// sum to Events(), and appends that land cleanly after the recovered tail.
+// sum to Events(), and appends that land cleanly after the recovered tail and
+// replay as the very payload bytes appended.
 // This is the surface a coordinator crash leaves behind, so recovery
 // robustness decides whether a restart ever needs manual repair.
 func FuzzWALSegmentDecode(f *testing.F) {
@@ -72,7 +74,7 @@ func FuzzWALSegmentDecode(f *testing.F) {
 
 		last := l.Base()
 		var total int64 = l.BaseEvents()
-		err = l.Replay(l.Base(), func(pos uint64, evs []stream.Event) error {
+		err = replay(l, l.Base(), func(pos uint64, evs []stream.Event) error {
 			if pos != last+1 {
 				t.Fatalf("replay position %d after %d: not monotonic", pos, last)
 			}
@@ -87,9 +89,12 @@ func FuzzWALSegmentDecode(f *testing.F) {
 			t.Fatalf("replay covered (%d, %d events), log claims (%d, %d)", last, total, l.End(), l.Events())
 		}
 
-		// The recovered log must accept appends on a clean record boundary.
+		// The recovered log must accept appends on a clean record boundary,
+		// and store the appended payload verbatim: the bytes replayed are the
+		// bytes the coordinator sent.
 		evs := frame(7, 5)
-		pos, err := l.Append(evs)
+		want := payloadOf(evs)
+		pos, err := l.Append(want)
 		if err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
@@ -97,17 +102,15 @@ func FuzzWALSegmentDecode(f *testing.F) {
 			t.Fatalf("append position %d, End %d", pos, l.End())
 		}
 		found := false
-		err = l.Replay(pos-1, func(p uint64, got []stream.Event) error {
+		err = l.ReplayPayloads(pos-1, func(p uint64, events int, got []byte) error {
 			if p != pos {
 				t.Fatalf("replay of appended frame at %d, want %d", p, pos)
 			}
-			if len(got) != len(evs) {
-				t.Fatalf("appended frame replays %d events, want %d", len(got), len(evs))
+			if events != len(evs) {
+				t.Fatalf("appended frame replays %d events, want %d", events, len(evs))
 			}
-			for i := range got {
-				if got[i] != evs[i] {
-					t.Fatalf("event %d: %v != %v", i, got[i], evs[i])
-				}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("appended payload replays as %x, want %x", got, want)
 			}
 			found = true
 			return nil

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -24,13 +25,30 @@ func frame(k, n int) []stream.Event {
 	return evs
 }
 
+// payloadOf encodes evs as one frame payload, the bytes Append takes.
+func payloadOf(evs []stream.Event) []byte { return stream.AppendFramePayload(nil, evs) }
+
+// replay is ReplayPayloads with each frame decoded by
+// stream.DecodeFramePayload: fn receives the frame's position and its events
+// in a buffer reused between calls.
+func replay(l *Log, from uint64, fn func(pos uint64, evs []stream.Event) error) error {
+	var scratch []stream.Event
+	return l.ReplayPayloads(from, func(pos uint64, _ int, payload []byte) error {
+		var err error
+		if scratch, err = stream.DecodeFramePayload(scratch[:0], payload); err != nil {
+			return err
+		}
+		return fn(pos, scratch)
+	})
+}
+
 // appendFrames logs frames of the given sizes and returns them.
 func appendFrames(t *testing.T, l *Log, sizes ...int) [][]stream.Event {
 	t.Helper()
 	var out [][]stream.Event
 	for k, n := range sizes {
 		evs := frame(k, n)
-		pos, err := l.Append(evs)
+		pos, err := l.Append(payloadOf(evs))
 		if err != nil {
 			t.Fatalf("Append frame %d: %v", k, err)
 		}
@@ -45,7 +63,7 @@ func appendFrames(t *testing.T, l *Log, sizes ...int) [][]stream.Event {
 // collect replays everything after from into a slice of frames.
 func collect(t *testing.T, l *Log, from uint64) (frames [][]stream.Event, positions []uint64) {
 	t.Helper()
-	err := l.Replay(from, func(pos uint64, evs []stream.Event) error {
+	err := replay(l, from, func(pos uint64, evs []stream.Event) error {
 		cp := make([]stream.Event, len(evs))
 		copy(cp, evs)
 		frames = append(frames, cp)
@@ -113,7 +131,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got, _ := collect(t, l, 5); len(got) != 0 {
 		t.Fatalf("replay from end delivered %d frames", len(got))
 	}
-	if err := l.Replay(6, func(uint64, []stream.Event) error { return nil }); err == nil {
+	if err := replay(l, 6, func(uint64, []stream.Event) error { return nil }); err == nil {
 		t.Fatal("replay beyond End succeeded")
 	}
 }
@@ -126,15 +144,33 @@ func TestEmptyAppendAndFrameLimit(t *testing.T) {
 	defer l.Close()
 
 	appendFrames(t, l, 5)
-	pos, err := l.Append(nil)
+	pos, err := l.Append(payloadOf(nil))
 	if err != nil || pos != 1 {
-		t.Fatalf("empty Append = (%d, %v), want (1, nil)", pos, err)
+		t.Fatalf("zero-count Append = (%d, %v), want (1, nil)", pos, err)
 	}
-	if _, err := l.Append(make([]stream.Event, stream.MaxFrameEvents+1)); err == nil {
-		t.Fatal("oversized batch accepted")
+	// Append checks the count prefix and the size limits only; each refusal
+	// must leave the log exactly where it was.
+	oversized := binary.AppendUvarint(nil, 1)
+	oversized = append(oversized, make([]byte, stream.MaxFrameBytes)...)
+	for name, payload := range map[string][]byte{
+		"empty payload":       nil,
+		"truncated count":     {0x80},
+		"overflowing count":   {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"count above limit":   binary.AppendUvarint(nil, stream.MaxFrameEvents+1),
+		"payload above limit": oversized,
+	} {
+		if _, err := l.Append(payload); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if l.End() != 1 || l.Events() != 5 {
+			t.Fatalf("%s moved the log to %d/%d, want 1/5", name, l.End(), l.Events())
+		}
 	}
-	if l.End() != 1 {
-		t.Fatalf("End moved to %d after rejected appends", l.End())
+	// A refusal writes nothing, so the log stays appendable on a clean
+	// record boundary.
+	appendFrames(t, l, 3)
+	if got, _ := collect(t, l, 0); len(got) != 2 || len(got[1]) != 3 {
+		t.Fatalf("after refusals the log replays %d frames, want 2", len(got))
 	}
 }
 
@@ -335,7 +371,7 @@ func TestTruncateBefore(t *testing.T) {
 		t.Fatal("retained tail differs after truncation")
 	}
 	// A replay below the new base is refused with the retention sentinel.
-	if err := l.Replay(1, func(uint64, []stream.Event) error { return nil }); !errors.Is(err, ErrTruncated) {
+	if err := replay(l, 1, func(uint64, []stream.Event) error { return nil }); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("replay below base: %v, want ErrTruncated", err)
 	}
 
@@ -415,7 +451,7 @@ func TestRebaseEmpty(t *testing.T) {
 		t.Fatalf("rebased End/Events/Base = %d/%d/%d", l.End(), l.Events(), l.Base())
 	}
 	// Appends continue from the new anchor, durably.
-	if pos, err := l.Append(frame(0, 9)); err != nil || pos != 1208 {
+	if pos, err := l.Append(payloadOf(frame(0, 9))); err != nil || pos != 1208 {
 		t.Fatalf("append after rebase = (%d, %v), want (1208, nil)", pos, err)
 	}
 	if err := l.Close(); err != nil {
@@ -446,10 +482,10 @@ func TestClosedLogRefusesEverything(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := l.Append(frame(0, 1)); !errors.Is(err, ErrClosed) {
+	if _, err := l.Append(payloadOf(frame(0, 1))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v", err)
 	}
-	if err := l.Replay(0, func(uint64, []stream.Event) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := replay(l, 0, func(uint64, []stream.Event) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Replay after Close: %v", err)
 	}
 	if _, err := l.TruncateBefore(0); !errors.Is(err, ErrClosed) {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/graph"
@@ -515,7 +516,7 @@ func newShardedCounter(patterns []Pattern, m, shards int, opts []Option) (*Shard
 func shardOptions(o *options) []shard.Option {
 	var sopts []shard.Option
 	if o.momGroups > 0 {
-		sopts = append(sopts, shard.WithCombiner(shard.MedianOfMeans(o.momGroups)))
+		sopts = append(sopts, shard.WithCombiner(combine.MedianOfMeans(o.momGroups)))
 	}
 	if o.shardBuffer > 0 {
 		sopts = append(sopts, shard.WithBuffer(o.shardBuffer))
@@ -838,23 +839,4 @@ func SwapPolicy(c *ShardedCounter, p *Policy) error {
 		ws.SetWeight(p.Func(), false, params)
 		return nil
 	})
-}
-
-// ActiveShardedPolicy reports the policy annotation a sharded counter runs
-// under (nil for heuristic weights), read under the quiesce barrier. Shards
-// always agree — construction, restore, and SwapPolicy all set them
-// together — so the first shard's annotation is returned.
-func ActiveShardedPolicy(c *ShardedCounter) (*core.PolicyParams, error) {
-	var params *core.PolicyParams
-	err := c.Quiesce(func(i int, sc shard.Counter) error {
-		if i != 0 {
-			return nil
-		}
-		type policyHolder interface{ ActivePolicy() *core.PolicyParams }
-		if h, ok := sc.(policyHolder); ok {
-			params = h.ActivePolicy().Clone()
-		}
-		return nil
-	})
-	return params, err
 }
