@@ -49,11 +49,12 @@ docs-check: fmt vet
 # worker, the write-ahead log's unit/property/alloc guards, the
 # ownership/Beta suite and the combiners, then a short fuzz pass over
 # segment recovery (an append after recovery must replay as the very bytes
-# appended).
+# appended). Every fuzz pass in this Makefile caps the minimisation of each
+# new input at 1 s: at the default 60 s it spends the whole fuzz budget.
 fleet-smoke:
 	$(GO) test -race -run 'Cluster|Coordinator|Degraded|WAL|CatchUp|Torn|Retention|Lagging|LogMode|RestoreSeeds|Partition|SumCombine|AckAmbiguity|Idempotent|FlagConflict' ./internal/cluster/ ./internal/serve/ ./cmd/wsdserve/
 	$(GO) test -race ./internal/wal/ ./internal/partition/ ./internal/combine/
-	$(GO) test -run xxx -fuzz FuzzWALSegmentDecode -fuzztime 30s ./internal/wal/
+	$(GO) test -run xxx -fuzz FuzzWALSegmentDecode -fuzztime 30s -fuzzminimizetime 1s ./internal/wal/
 
 # The enumeration layer under the race detector: the differential
 # property/fuzz suite (the mark-array/merge clique intersection must emit
@@ -66,7 +67,7 @@ fleet-smoke:
 # throughput the intersection layer owns.
 enum-smoke:
 	$(GO) test -race -run 'Differential|PairAmong|Common|AdjacentIn|ReservoirOps' ./internal/pattern/ ./internal/reservoir/
-	$(GO) test -run xxx -fuzz FuzzDifferentialEnumeration -fuzztime 20s ./internal/pattern/
+	$(GO) test -run xxx -fuzz FuzzDifferentialEnumeration -fuzztime 20s -fuzzminimizetime 1s ./internal/pattern/
 	$(GO) run -race ./cmd/wsdbench -exp suite -only core/dense -trials 1
 
 # The policy lifecycle under the race detector: artifact encode/decode and
@@ -83,7 +84,7 @@ enum-smoke:
 policy-smoke:
 	$(GO) test -race ./internal/policy/ ./internal/nn/
 	$(GO) test -race -run 'Policy|Shadow|WSDL|TemporalFold' ./internal/serve/ ./internal/cluster/ ./internal/core/ .
-	$(GO) test -run xxx -fuzz FuzzPolicyArtifactDecode -fuzztime 30s ./internal/policy/
+	$(GO) test -run xxx -fuzz FuzzPolicyArtifactDecode -fuzztime 30s -fuzzminimizetime 1s ./internal/policy/
 	$(GO) run -race ./cmd/wsdbench -exp suite -only core-wsdl,core-temporal -trials 1
 
 # Temporal estimation under the race detector: the window/ring and exact
@@ -100,7 +101,7 @@ policy-smoke:
 window-smoke:
 	$(GO) test -race ./internal/window/ ./internal/exact/
 	$(GO) test -race -run 'Window|Decay|Temporal|EstimateUnknownParam' ./internal/core/ ./internal/serve/ ./internal/cluster/ .
-	$(GO) test -run xxx -fuzz FuzzWindowedSnapshotDecode -fuzztime 30s .
+	$(GO) test -run xxx -fuzz FuzzWindowedSnapshotDecode -fuzztime 30s -fuzzminimizetime 1s .
 	$(GO) run ./cmd/wsdload -fleet 3 -window 6000 -rate 20000 -duration 10s -max-p99 250
 
 # Ingestion throughput on the dense-community 4-clique stream: one worker fed

@@ -30,7 +30,6 @@ package benchsuite
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -607,24 +606,17 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				br, err := stream.NewBinaryReader(bytes.NewReader(encoded))
+				var pool stream.BatchPool
+				err = stream.EachFrame(encoded, func(payload []byte) (err error) {
+					b := pool.Get()
+					if b.Events, err = stream.DecodeFramePayload(b.Events, payload); err != nil {
+						b.Release()
+						return err
+					}
+					return p.SubmitPooled(b)
+				})
 				if err != nil {
 					return 0, err
-				}
-				var pool stream.BatchPool
-				for {
-					b := pool.Get()
-					b.Events, err = br.ReadBatchAppend(b.Events)
-					if err == io.EOF {
-						b.Release()
-						break
-					}
-					if err != nil {
-						return 0, err
-					}
-					if err := p.SubmitPooled(b); err != nil {
-						return 0, err
-					}
 				}
 				return p.Close(), nil
 			},

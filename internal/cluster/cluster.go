@@ -545,25 +545,12 @@ func (c *Coordinator) IngestBytes(raw []byte) (IngestResult, error) {
 // decodeBody parses an ingest body (text or binary, sniffed like the
 // workers' /ingest) into the reused decode buffer; caller holds decMu.
 func (c *Coordinator) decodeBody(raw []byte) ([]stream.Event, error) {
-	br, isBinary := stream.SniffBinary(bytes.NewReader(raw))
-	if !isBinary {
-		return stream.Read(br)
+	if !stream.IsBinary(raw) {
+		return stream.Read(bytes.NewReader(raw))
 	}
-	reader, err := stream.NewBinaryReader(br)
-	if err != nil {
-		return nil, err
-	}
-	evs := c.decBuf[:0]
-	for {
-		evs, err = reader.ReadBatchAppend(evs)
-		if err == io.EOF {
-			c.decBuf = evs
-			return evs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	var err error
+	c.decBuf, err = stream.DecodeBinary(c.decBuf[:0], raw)
+	return c.decBuf, err
 }
 
 // SubmitBatch submits one event batch, the programmatic equivalent of

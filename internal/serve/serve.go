@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -385,7 +384,7 @@ func (s *Server) ingest(body []byte, h http.Header) (any, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	accepted, duplicate, err := ingestSkip(s.ens, &s.batches, bytes.NewReader(body), skip)
+	accepted, duplicate, err := ingestSkip(s.ens, &s.batches, body, skip)
 	if err != nil {
 		if errors.Is(err, shard.ErrClosed) {
 			return nil, withStatus(http.StatusServiceUnavailable, err)
@@ -398,7 +397,7 @@ func (s *Server) ingest(body []byte, h http.Header) (any, error) {
 		// body, same duplicate skip) under the candidate policy. A shadow
 		// failure never fails live ingestion — it is recorded and reported
 		// on GET /policy/shadow instead.
-		if _, _, err := ingestSkip(sh.ens, &s.shadowBatches, bytes.NewReader(body), skip); err != nil {
+		if _, _, err := ingestSkip(sh.ens, &s.shadowBatches, body, skip); err != nil {
 			sh.fail(err)
 		}
 	}
@@ -413,42 +412,31 @@ func (s *Server) ingest(body []byte, h http.Header) (any, error) {
 // submitted and skipped. The whole body is decoded before the first submit,
 // so a parse error anywhere (a corrupt trailing frame, a malformed line)
 // rejects the request without having applied a prefix of it — clients can
-// safely retry a 400 without double-counting. Binary frames are decoded into
-// pooled batches and submitted frame by frame through the refcounted
-// broadcast, preserving the wire format's 1:1 frame-to-batch mapping without
-// copying the events per shard; the pool makes steady-state binary ingestion
-// allocation-free once its buffers have grown to the request's frame sizes.
-// Duplicates are dropped by shifting each batch's surviving suffix to the
-// front (fully-duplicate batches are released outright), so the pooled
-// buffers keep their backing arrays.
-func ingestSkip(ens *wsd.ShardedCounter, pool *stream.BatchPool, body io.Reader, skip int64) (accepted, duplicate int, err error) {
-	br, isBinary := stream.SniffBinary(body)
+// safely retry a 400 without double-counting. A binary body's frames are
+// walked in place, each decoded into a pooled batch (1:1) that the refcounted
+// broadcast submits without a copy per shard; once the pool's buffers have
+// grown, binary ingestion allocates nothing. Duplicates are dropped by
+// shifting each batch's surviving suffix to the front (fully-duplicate
+// batches are released outright), so the pooled buffers keep their arrays.
+func ingestSkip(ens *wsd.ShardedCounter, pool *stream.BatchPool, body []byte, skip int64) (accepted, duplicate int, err error) {
 	total := 0
-	if isBinary {
-		reader, err := stream.NewBinaryReader(br)
-		if err != nil {
-			return 0, 0, err
-		}
+	if stream.IsBinary(body) {
 		var pending []*stream.Batch
 		release := func() {
 			for _, b := range pending {
 				b.Release()
 			}
 		}
-		for {
+		err := stream.EachFrame(body, func(payload []byte) (err error) {
 			b := pool.Get()
-			b.Events, err = reader.ReadBatchAppend(b.Events)
-			if err == io.EOF {
-				b.Release() // EOF strikes between frames: b is empty
-				break
-			}
-			if err != nil {
-				b.Release()
-				release()
-				return 0, 0, err
-			}
 			pending = append(pending, b)
+			b.Events, err = stream.DecodeFramePayload(b.Events, payload)
 			total += len(b.Events)
+			return err
+		})
+		if err != nil {
+			release()
+			return 0, 0, err
 		}
 		remaining := skip
 		kept := pending[:0]
@@ -480,7 +468,7 @@ func ingestSkip(ens *wsd.ShardedCounter, pool *stream.BatchPool, body io.Reader,
 		}
 		return total - duplicate, duplicate, nil
 	}
-	evs, err := stream.Read(br)
+	evs, err := stream.Read(bytes.NewReader(body))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -7,14 +7,12 @@ import (
 	"repro/internal/graph"
 )
 
-// TestReadBatchAppendAllocs pins the binary decode loop at effectively zero
-// steady-state allocations: once the reader's payload buffer and the
-// caller's event buffer have grown to the frame size, re-decoding a stream
-// costs only the per-reader setup (bufio wrapper), amortized across its
-// frames.
-func TestReadBatchAppendAllocs(t *testing.T) {
-	s := make(Stream, 0, 20*DefaultFrameEvents/4)
-	for i := 0; i < cap(s); i++ {
+// allocStream returns the binary encoding of an n-event stream cut into
+// DefaultFrameEvents frames.
+func allocStream(t *testing.T, n int) (Stream, []byte) {
+	t.Helper()
+	s := make(Stream, 0, n)
+	for i := 0; i < n; i++ {
 		op := Insert
 		if i%5 == 0 {
 			op = Delete
@@ -25,21 +23,36 @@ func TestReadBatchAppendAllocs(t *testing.T) {
 	if err := WriteBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	encoded := buf.Bytes()
+	return s, buf.Bytes()
+}
 
-	var evs []Event
-	reader := bytes.NewReader(encoded)
+// TestReadBatchAppendAllocs pins the worker's binary decode at effectively
+// zero steady-state allocations: walking a body's frames into pooled batches
+// (one batch per frame, as the serving worker's ingest does) and releasing
+// them, once the pool's buffers have grown to the frame size, costs only the
+// pending list, amortized across the body's events.
+func TestReadBatchAppendAllocs(t *testing.T) {
+	s, encoded := allocStream(t, 20*DefaultFrameEvents/4)
+
+	var pool BatchPool
+	var pending []*Batch
 	decodeAll := func() {
-		reader.Reset(encoded)
-		br, err := NewBinaryReader(reader)
+		pending = pending[:0]
+		err := EachFrame(encoded, func(payload []byte) error {
+			b := pool.Get()
+			var err error
+			if b.Events, err = DecodeFramePayload(b.Events, payload); err != nil {
+				b.Release()
+				return err
+			}
+			pending = append(pending, b)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			evs, err = br.ReadBatchAppend(evs[:0])
-			if err != nil {
-				break
-			}
+		for _, b := range pending {
+			b.Release()
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -49,7 +62,37 @@ func TestReadBatchAppendAllocs(t *testing.T) {
 	perEvent := avg / float64(len(s))
 	t.Logf("binary decode: %.5f allocs/event (%.1f per %d-event stream)", perEvent, avg, len(s))
 	if perEvent > 0.005 {
-		t.Errorf("binary decode allocates %.5f/event, budget 0.005 — the reused-frame path regressed", perEvent)
+		t.Errorf("binary decode allocates %.5f/event, budget 0.005 — the pooled-batch path regressed", perEvent)
+	}
+}
+
+// TestReadBinaryAllocs pins ReadBinary at a constant number of allocations
+// whatever the frame count: the in-memory copy of the input (buffer header
+// and bytes) and the exactly sized event slice. A per-frame buffer or a
+// regrown output would add one per frame.
+func TestReadBinaryAllocs(t *testing.T) {
+	s, encoded := allocStream(t, 20*DefaultFrameEvents)
+	reader := bytes.NewReader(encoded)
+	var got Stream
+	avg := testing.AllocsPerRun(5, func() {
+		reader.Reset(encoded)
+		var err error
+		if got, err = ReadBinary(reader); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(got) != len(s) || cap(got) != len(s) {
+		t.Fatalf("decoded %d events into capacity %d, want exactly %d", len(got), cap(got), len(s))
+	}
+	t.Logf("ReadBinary: %.1f allocs per 20-frame stream", avg)
+	budget := 3.0
+	if raceEnabled {
+		// The race build does not fuse bytes.Buffer's append(nil,
+		// make(...)...) growth into one allocation.
+		budget = 4
+	}
+	if avg > budget {
+		t.Errorf("ReadBinary makes %.1f allocations on a 20-frame stream, budget %.0f", avg, budget)
 	}
 }
 

@@ -6,15 +6,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
 )
 
 // Binary stream format. The text format (Write/Read) is the interchange
 // format; this is the fast path for replay and for the wire: a fixed header
-// followed by length-prefixed frames of varint-encoded events, so a reader
-// can pull one batch at a time straight into SubmitBatch without ever
-// materializing the whole stream.
+// followed by length-prefixed frames of varint-encoded events. Every consumer
+// holds the whole body in memory and walks its frames in place (EachFrame),
+// so frames map 1:1 onto pooled batches (the serving worker) or decode into
+// one exactly sized slice (DecodeBinary); there is no io.Reader frame reader.
 //
 //	header:  "WSDB" version(1 byte)
 //	frame:   uvarint(payloadBytes) payload
@@ -138,72 +140,107 @@ func (bw *BinaryWriter) Flush() error {
 	return nil
 }
 
-// BinaryReader reads a binary event stream frame by frame.
-type BinaryReader struct {
-	r   *bufio.Reader
-	buf []byte // reused frame payload buffer
-}
+// IsBinary reports whether data starts a binary stream: the prefix test every
+// consumer holding a whole body uses to pick a decoder.
+func IsBinary(data []byte) bool { return bytes.HasPrefix(data, binaryMagic[:]) }
 
-// NewBinaryReader validates the header and returns a reader.
-func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
-	br := &BinaryReader{r: bufio.NewReader(r)}
-	var header [5]byte
-	if _, err := io.ReadFull(br.r, header[:]); err != nil {
-		return nil, fmt.Errorf("stream: read binary header: %w", err)
+// EachFrame walks the binary stream in data: it checks the header, then hands
+// each frame's payload (a subslice of data) to fn in stream order and stops at
+// fn's first error. A length above MaxFrameBytes or past the end of data is an
+// error; a torn tail wraps io.ErrUnexpectedEOF.
+func EachFrame(data []byte, fn func(payload []byte) error) error {
+	if len(data) < 5 {
+		return fmt.Errorf("stream: read binary header: %w", torn(data))
 	}
-	if !bytes.Equal(header[:4], binaryMagic[:]) {
-		return nil, fmt.Errorf("stream: bad binary magic %q", header[:4])
+	if !IsBinary(data) {
+		return fmt.Errorf("stream: bad binary magic %q", data[:4])
 	}
-	if header[4] != binaryVersion {
-		return nil, fmt.Errorf("stream: binary version %d unsupported (want %d)", header[4], binaryVersion)
+	if data[4] != binaryVersion {
+		return fmt.Errorf("stream: binary version %d unsupported (want %d)", data[4], binaryVersion)
 	}
-	return br, nil
-}
-
-// ReadBatch returns the next frame's events, or io.EOF after the last
-// complete frame. The returned slice is freshly allocated per call — safe to
-// hand to SubmitBatch, which takes ownership. Zero-allocation loops should
-// use ReadBatchAppend with a reused buffer (or a pooled Batch) instead.
-func (br *BinaryReader) ReadBatch() ([]Event, error) {
-	evs, err := br.ReadBatchAppend(nil)
-	if err != nil {
-		return nil, err
-	}
-	return evs, nil
-}
-
-// ReadBatchAppend decodes the next frame's events appended to dst (usually
-// dst[:0] of a reused buffer) and returns the extended slice, or io.EOF after
-// the last complete frame. Once dst's capacity has grown to the stream's
-// frame size, the decode loop performs no allocations: the frame payload
-// buffer is owned and reused by the reader.
-func (br *BinaryReader) ReadBatchAppend(dst []Event) ([]Event, error) {
-	payloadLen, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		if err == io.EOF {
-			return dst, io.EOF // clean end between frames
+	for data = data[5:]; len(data) > 0; {
+		payloadLen, n := binary.Uvarint(data)
+		if n <= 0 {
+			// A torn or overlong prefix: let the byte-wise reader name it.
+			_, err := binary.ReadUvarint(bytes.NewReader(data))
+			return fmt.Errorf("stream: read frame length: %w", err)
 		}
-		return dst, fmt.Errorf("stream: read frame length: %w", err)
+		if payloadLen > MaxFrameBytes {
+			return fmt.Errorf("stream: frame of %d bytes exceeds the %d-byte limit", payloadLen, MaxFrameBytes)
+		}
+		data = data[n:]
+		if uint64(len(data)) < payloadLen {
+			return fmt.Errorf("stream: read frame payload: %w", torn(data))
+		}
+		if err := fn(data[:payloadLen]); err != nil {
+			return err
+		}
+		data = data[payloadLen:]
 	}
-	if payloadLen > MaxFrameBytes {
-		return dst, fmt.Errorf("stream: frame of %d bytes exceeds the %d-byte limit", payloadLen, MaxFrameBytes)
+	return nil
+}
+
+// torn is the error a short read of rest ends in, as io.ReadFull reports it.
+func torn(rest []byte) error {
+	if len(rest) == 0 {
+		return io.EOF
 	}
-	if uint64(cap(br.buf)) < payloadLen {
-		br.buf = make([]byte, payloadLen)
+	return io.ErrUnexpectedEOF
+}
+
+// DecodeBinary decodes the binary stream in data, appending its events to dst,
+// which grows at most once: a first pass sums the frames' counts, each capped
+// at payload/2 so a hostile count cannot over-allocate. On error dst is
+// returned at its original length.
+func DecodeBinary(dst []Event, data []byte) ([]Event, error) {
+	total := 0
+	// Sizing only: a bad frame ends the count, and the decoding pass reports
+	// the first error in stream order.
+	_ = EachFrame(data, func(payload []byte) error {
+		count, n := binary.Uvarint(payload)
+		if n <= 0 || count > uint64(len(payload)-n)/2 {
+			return io.EOF
+		}
+		total += int(count)
+		return nil
+	})
+	base := len(dst)
+	if cap(dst)-base < total {
+		dst = append(make([]Event, 0, base+total), dst...)
 	}
-	payload := br.buf[:payloadLen]
-	if _, err := io.ReadFull(br.r, payload); err != nil {
-		return dst, fmt.Errorf("stream: read frame payload: %w", err)
+	err := EachFrame(data, func(payload []byte) (err error) {
+		dst, err = DecodeFramePayload(dst, payload)
+		return err
+	})
+	if err != nil {
+		return dst[:base], err
 	}
-	return DecodeFramePayload(dst, payload)
+	return dst, nil
+}
+
+// uvarint3 decodes a one- to three-byte uvarint (any value below 2^21) without
+// a call and returns n == 0 for anything else, where the caller falls back to
+// binary.Uvarint: together they decode every input as binary.Uvarint does.
+func uvarint3(buf []byte) (x uint64, n int) {
+	if len(buf) >= 3 {
+		switch b0, b1, b2 := uint64(buf[0]), uint64(buf[1]), uint64(buf[2]); {
+		case b0 < 0x80:
+			return b0, 1
+		case b1 < 0x80:
+			return b0&0x7f | b1<<7, 2
+		case b2 < 0x80:
+			return b0&0x7f | (b1&0x7f)<<7 | b2<<14, 3
+		}
+	}
+	return 0, 0
 }
 
 // DecodeFramePayload decodes one frame payload — the bytes following a
 // frame's length prefix — appending the events to dst and returning the
-// extended slice. It performs the full validation ReadBatchAppend always did
-// (event count vs payload size, per-event varint bounds, trailing bytes), so
-// the write-ahead log verifies logged frames with exactly the wire decoder.
-// On error dst is returned at its original length.
+// extended slice. It validates the event count against the payload size,
+// every event's varint bounds and the trailing bytes, so the write-ahead log
+// verifies logged frames with exactly the wire decoder. On error dst is
+// returned at its original length.
 func DecodeFramePayload(dst []Event, payload []byte) ([]Event, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -216,26 +253,30 @@ func DecodeFramePayload(dst []Event, payload []byte) ([]Event, error) {
 		return dst, fmt.Errorf("stream: corrupt frame: %d events in %d payload bytes", count, len(payload))
 	}
 	base := len(dst)
-	for i := uint64(0); i < count; i++ {
-		opU, n := binary.Uvarint(payload)
+	dst = slices.Grow(dst, int(count))[:base+int(count)]
+	for i := base; i < len(dst); i++ {
+		opU, n := uvarint3(payload)
+		if n == 0 {
+			opU, n = binary.Uvarint(payload)
+		}
 		if n <= 0 {
-			return dst[:base], fmt.Errorf("stream: corrupt frame: truncated event %d", i)
+			return dst[:base], fmt.Errorf("stream: corrupt frame: truncated event %d", i-base)
 		}
 		payload = payload[n:]
-		v, n := binary.Uvarint(payload)
+		v, n := uvarint3(payload)
+		if n == 0 {
+			v, n = binary.Uvarint(payload)
+		}
 		if n <= 0 {
-			return dst[:base], fmt.Errorf("stream: corrupt frame: truncated event %d", i)
+			return dst[:base], fmt.Errorf("stream: corrupt frame: truncated event %d", i-base)
 		}
 		payload = payload[n:]
 		u := opU >> 1
 		if u > uint64(^graph.VertexID(0)) || v > uint64(^graph.VertexID(0)) {
-			return dst[:base], fmt.Errorf("stream: corrupt frame: vertex id overflows 32 bits in event %d", i)
+			return dst[:base], fmt.Errorf("stream: corrupt frame: vertex id overflows 32 bits in event %d", i-base)
 		}
-		op := Insert
-		if opU&1 == 1 {
-			op = Delete
-		}
-		dst = append(dst, Event{Op: op, Edge: graph.NewEdge(graph.VertexID(u), graph.VertexID(v))})
+		// The low bit is the op: Insert is 0, Delete is 1.
+		dst[i] = Event{Op: Op(opU & 1), Edge: graph.NewEdge(graph.VertexID(u), graph.VertexID(v))}
 	}
 	if len(payload) != 0 {
 		return dst[:base], fmt.Errorf("stream: corrupt frame: %d trailing bytes", len(payload))
@@ -263,23 +304,13 @@ func WriteBinary(w io.Writer, s Stream) error {
 }
 
 // ReadBinary parses a whole binary stream produced by WriteBinary (or any
-// sequence of BinaryWriter batches).
+// sequence of BinaryWriter batches), copied into memory once.
 func ReadBinary(r io.Reader) (Stream, error) {
-	br, err := NewBinaryReader(r)
-	if err != nil {
-		return nil, err
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("stream: read binary stream: %w", err)
 	}
-	var out Stream
-	for {
-		batch, err := br.ReadBatch()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, batch...)
-	}
+	return DecodeBinary(nil, buf.Bytes())
 }
 
 // AppendBinaryHeader appends the binary stream header (magic plus version) to
@@ -296,7 +327,7 @@ func AppendBinaryHeader(dst []byte) []byte {
 func SniffBinary(r io.Reader) (io.Reader, bool) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(binaryMagic))
-	return br, err == nil && bytes.Equal(head, binaryMagic[:])
+	return br, err == nil && IsBinary(head)
 }
 
 // ReadAuto parses a stream in either format, sniffing the binary magic. Text

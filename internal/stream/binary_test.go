@@ -2,8 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -99,23 +103,20 @@ func TestBinaryStreamingBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	br, err := NewBinaryReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got Stream
-	for {
-		batch, err := br.ReadBatch()
-		if err == io.EOF {
-			break
-		}
+	err = EachFrame(buf.Bytes(), func(payload []byte) error {
+		batch, err := DecodeFramePayload(nil, payload)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if len(batch) == 0 || len(batch) > 33 {
 			t.Fatalf("unexpected batch size %d", len(batch))
 		}
 		got = append(got, batch...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(s) {
 		t.Fatalf("streamed %d events, want %d", len(got), len(s))
@@ -141,21 +142,15 @@ func TestWriteBatchSplitsOversizedBatches(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	br, err := NewBinaryReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	total, frames := 0, 0
-	for {
-		batch, err := br.ReadBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	err = EachFrame(buf.Bytes(), func(payload []byte) error {
+		batch, err := DecodeFramePayload(nil, payload)
 		total += len(batch)
 		frames++
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if total != n {
 		t.Fatalf("read %d of %d events", total, n)
@@ -186,6 +181,85 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	for name, data := range cases {
 		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: corrupt input accepted", name)
+		}
+	}
+	// A torn tail is reported as such, whether the cut falls inside a frame's
+	// length prefix or inside its payload.
+	for name, torn := range map[string][]byte{
+		"length prefix": append(append([]byte{}, good[:5]...), 0x80),
+		"payload":       good[:len(good)-3],
+	} {
+		if _, err := ReadBinary(bytes.NewReader(torn)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("torn %s: got %v, want io.ErrUnexpectedEOF", name, err)
+		}
+	}
+}
+
+// TestDecodeFramePayloadUvarints pins the frame decoder's inline one- to
+// three-byte uvarint path, and its fallback, to the reference decode built on
+// binary.Uvarint alone: each payload must yield the same events or the same
+// error, at every encoded length and boundary, for non-minimal and overlong
+// encodings, and behind a non-empty dst.
+func TestDecodeFramePayloadUvarints(t *testing.T) {
+	// event encodes one event: uvarint(u<<1|op) uvarint(v).
+	event := func(opU, v uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(nil, opU), v)
+	}
+	payload := func(count uint64, events ...[]byte) []byte {
+		p := binary.AppendUvarint(nil, count)
+		for _, e := range events {
+			p = append(p, e...)
+		}
+		return p
+	}
+	cases := map[string][]byte{}
+	for _, id := range []uint64{0, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, 1<<32 - 1} {
+		cases[fmt.Sprintf("v=%d", id)] = payload(1, event(2, id))
+		cases[fmt.Sprintf("u=%d insert", id)] = payload(1, event(id<<1, 3))
+		cases[fmt.Sprintf("u=%d delete", id)] = payload(2, event(id<<1|1, 3), event(4, id))
+	}
+	cases["v=2^32 overflows"] = payload(1, event(2, 1<<32))
+	cases["u=2^32 overflows"] = payload(1, event(1<<33, 2))
+	cases["delete bit on a 5-byte u"] = payload(1, event(1<<32|1, 7))
+	cases["non-minimal 2-byte"] = payload(1, []byte{0x80, 0x00, 0xff, 0x00})
+	cases["non-minimal 3- and 4-byte"] = payload(1, []byte{0x80, 0x80, 0x00, 0x81, 0x80, 0x80, 0x00})
+	ten := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}
+	cases["10-byte zero"] = payload(1, append(append([]byte{}, ten...), 0x00), []byte{5})
+	cases["10-byte 2^63"] = payload(1, append(append([]byte{}, ten...), 0x01), []byte{5})
+	cases["10-byte overflow"] = payload(1, append(append([]byte{}, ten...), 0x02), []byte{5})
+	cases["11-byte"] = payload(1, append(append([]byte{}, ten...), 0x80, 0x00), []byte{5})
+	cases["truncated in u"] = payload(1, []byte{0x80, 0x80})
+	cases["truncated in v"] = payload(1, []byte{0x02, 0xff, 0xff, 0xff})
+	cases["truncated second event"] = payload(2, event(2, 3), []byte{0x82, 0x80})
+	cases["trailing bytes"] = payload(1, event(2, 3), []byte{0})
+	cases["one-byte tail"] = payload(2, event(200, 300), event(2, 3))
+	cases["bad count"] = []byte{0x80}
+	cases["hostile count"] = payload(3, event(2, 3))
+
+	prefix := []Event{{Op: Delete, Edge: graph.NewEdge(9, 10)}}
+	for name, p := range cases {
+		want, wantErr := referenceDecodeFramePayload(p)
+		for _, bad := range []string{"overflow", "truncated", "11-byte", "trailing", "count"} {
+			if strings.Contains(name, bad) && wantErr == nil {
+				t.Fatalf("%s: the reference accepts the case, so it tests nothing", name)
+			}
+		}
+		got, err := DecodeFramePayload(append([]Event{}, prefix...), p)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, reference %v", name, err, wantErr)
+			continue
+		}
+		if got[0] != prefix[0] {
+			t.Errorf("%s: dst prefix overwritten", name)
+		}
+		if got = got[len(prefix):]; len(got) != len(want) {
+			t.Errorf("%s: %d events, reference %d", name, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: event %d: %v, reference %v", name, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -68,26 +68,26 @@ func BenchmarkDecodeBinary1M(b *testing.B) {
 }
 
 // BenchmarkDecodeBinaryStreaming measures the replay path an ingestion layer
-// actually uses: frame-at-a-time batches, no whole-stream materialization.
+// actually uses: the frame walker decoding each frame into one reused batch,
+// no whole-stream materialization.
 func BenchmarkDecodeBinaryStreaming(b *testing.B) {
 	_, bin := benchStreams(b)
 	b.SetBytes(int64(len(bin)))
 	b.ResetTimer()
+	var batch []Event
 	for i := 0; i < b.N; i++ {
-		br, err := NewBinaryReader(bytes.NewReader(bin))
+		total := 0
+		err := EachFrame(bin, func(payload []byte) (err error) {
+			batch, err = DecodeFramePayload(batch[:0], payload)
+			total += len(batch)
+			return err
+		})
 		if err != nil {
 			b.Fatal(err)
-		}
-		total := 0
-		for {
-			batch, err := br.ReadBatch()
-			if err != nil {
-				break
-			}
-			total += len(batch)
 		}
 		if total != benchEvents {
 			b.Fatalf("decoded %d events", total)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchEvents), "ns/event")
 }

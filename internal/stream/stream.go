@@ -3,7 +3,9 @@
 // scenarios used in the evaluation (massive and light deletion, Section V-A),
 // and the stream orderings of Section V-B(3) (natural, uniform-at-random,
 // random BFS). It also provides a plain-text serialization so streams can be
-// written to and replayed from files by the command-line tools.
+// written to and replayed from files by the command-line tools, and a binary
+// one (binary.go) for replay and the wire, decoded from in-memory bodies:
+// frames map 1:1 onto batches by walking the body, with no streaming reader.
 package stream
 
 import (
