@@ -248,7 +248,7 @@ func TestFacadeProcessorLocalCheckpointBitIdentical(t *testing.T) {
 }
 
 // TestFacadeProcessorBlobPlainRestore: a Processor's blob also restores
-// through RestoreCounter and RestoreMultiCounter when it wraps the matching
+// through RestoreCounter, whether it wraps a single- or a multi-pattern
 // counter, continuing bit-identically.
 func TestFacadeProcessorBlobPlainRestore(t *testing.T) {
 	s := checkpointStream(t, 29, 400)
@@ -306,7 +306,7 @@ func TestFacadeProcessorBlobPlainRestore(t *testing.T) {
 		for _, ev := range s {
 			uninterrupted.Process(ev)
 		}
-		restored, err := wsd.RestoreMultiCounter(snapshot(build().Core()))
+		restored, err := wsd.RestoreCounter(snapshot(build()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
 // Command docslint is the documentation gate behind `make docs-check`. It
-// enforces five invariants the prose documentation system depends on:
+// enforces six invariants the prose documentation system depends on:
 //
 //  1. Every exported identifier in the facade package (the module root) has
 //     a doc comment — the facade is the supported API surface, and an
@@ -18,6 +18,11 @@
 //     string in internal/serve: the shared route table and each mode's
 //     extra routes) appears in the "Endpoints (both modes)" table of
 //     docs/operations.md.
+//  6. Every wsd.Name reference in the markdown documentation (README.md,
+//     ARCHITECTURE.md, everything under docs/) names an exported identifier
+//     of the facade package, so a removed or renamed facade API cannot live
+//     on in the guides. ROADMAP.md and CHANGES.md are history, not guides,
+//     and are not checked.
 //
 // It prints one line per violation and exits 1 if any were found.
 //
@@ -66,6 +71,9 @@ func main() {
 	if err := lintRouteDocs(*root, report); err != nil {
 		fatal(err)
 	}
+	if err := lintFacadeRefs(*root, report); err != nil {
+		fatal(err)
+	}
 
 	sort.Strings(problems)
 	for _, p := range problems {
@@ -82,9 +90,9 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// lintFacadeExports checks that every exported top-level identifier (and
-// every exported method) in the root package carries a doc comment.
-func lintFacadeExports(root string, report func(string, ...any)) error {
+// facadeDecls parses the root package's non-test files and calls fn on
+// every top-level declaration.
+func facadeDecls(root string, fn func(*token.FileSet, ast.Decl)) error {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, root, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -95,11 +103,56 @@ func lintFacadeExports(root string, report func(string, ...any)) error {
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				checkDecl(fset, decl, report)
+				fn(fset, decl)
 			}
 		}
 	}
 	return nil
+}
+
+// lintFacadeExports checks that every exported top-level identifier (and
+// every exported method) in the root package carries a doc comment.
+func lintFacadeExports(root string, report func(string, ...any)) error {
+	return facadeDecls(root, func(fset *token.FileSet, decl ast.Decl) { checkDecl(fset, decl, report) })
+}
+
+// facadeRef matches a reference to a facade identifier: wsd.Name.
+var facadeRef = regexp.MustCompile(`\bwsd\.([A-Z]\w*)`)
+
+// lintFacadeRefs checks that every wsd.Name in the markdown documentation
+// names an exported top-level identifier of the root package (a function,
+// type, constant or variable).
+func lintFacadeRefs(root string, report func(string, ...any)) error {
+	exported := map[string]bool{}
+	err := facadeDecls(root, func(_ *token.FileSet, decl ast.Decl) {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				exported[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					exported[s.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						exported[name.Name] = true
+					}
+				}
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return eachDocLine(root, func(file string, line int, text string) {
+		for _, m := range facadeRef.FindAllStringSubmatch(text, -1) {
+			if !exported[m[1]] {
+				report("%s:%d: wsd.%s is not an exported identifier of the facade package", file, line, m[1])
+			}
+		}
+	})
 }
 
 func checkDecl(fset *token.FileSet, decl ast.Decl, report func(string, ...any)) {
@@ -444,9 +497,9 @@ func lintRouteDocs(root string, report func(string, ...any)) error {
 // mdLink matches markdown inline links and images; group 1 is the target.
 var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 
-// lintMarkdownLinks checks that relative links in the documentation set
-// resolve to existing files.
-func lintMarkdownLinks(root string, report func(string, ...any)) error {
+// eachDocLine calls fn on every line of the markdown documentation set:
+// README.md, ARCHITECTURE.md and docs/*.md (line numbers start at 1).
+func eachDocLine(root string, fn func(file string, line int, text string)) error {
 	var files []string
 	for _, name := range []string{"README.md", "ARCHITECTURE.md"} {
 		p := filepath.Join(root, name)
@@ -468,23 +521,31 @@ func lintMarkdownLinks(root string, report func(string, ...any)) error {
 			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
-				target := m[1]
-				if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") || strings.HasPrefix(target, "#") {
-					continue
-				}
-				if idx := strings.IndexByte(target, '#'); idx >= 0 {
-					target = target[:idx]
-				}
-				if target == "" {
-					continue
-				}
-				resolved := filepath.Join(filepath.Dir(file), target)
-				if _, err := os.Stat(resolved); err != nil {
-					report("%s:%d: broken relative link %q", file, i+1, m[1])
-				}
-			}
+			fn(file, i+1, line)
 		}
 	}
 	return nil
+}
+
+// lintMarkdownLinks checks that relative links in the documentation set
+// resolve to existing files.
+func lintMarkdownLinks(root string, report func(string, ...any)) error {
+	return eachDocLine(root, func(file string, line int, text string) {
+		for _, m := range mdLink.FindAllStringSubmatch(text, -1) {
+			target := m[1]
+			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") || strings.HasPrefix(target, "#") {
+				continue
+			}
+			if idx := strings.IndexByte(target, '#'); idx >= 0 {
+				target = target[:idx]
+			}
+			if target == "" {
+				continue
+			}
+			resolved := filepath.Join(filepath.Dir(file), target)
+			if _, err := os.Stat(resolved); err != nil {
+				report("%s:%d: broken relative link %q", file, line, m[1])
+			}
+		}
+	})
 }

@@ -109,6 +109,56 @@ func TestMarkdownLinkLint(t *testing.T) {
 	}
 }
 
+func TestFacadeRefsLint(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "facade.go", `// Package wsd is documented.
+package wsd
+
+// Counter is a type.
+type Counter interface{}
+
+// NewCounter is a function.
+func NewCounter() Counter { return nil }
+
+// Estimate is a method, not a facade identifier.
+func (c *Multi) Estimate() {}
+
+// Multi is a type.
+type Multi struct{}
+
+// Grouped constants count.
+const (
+	TrianglePattern = 1
+)
+
+// DefaultSeed is a variable.
+var DefaultSeed = 1
+`)
+	write(t, root, "README.md", strings.Join([]string{
+		"c, err := wsd.NewCounter() // ok",
+		"`wsd.Counter`, wsd.TrianglePattern and wsd.DefaultSeed are fine; so is internal/core/wsd.go",
+		"r, err := wsd.RestoreGone(blob)",
+		"call wsd.Estimate() on nothing",
+	}, "\n"))
+	write(t, root, "docs/guide.md", "see `wsd.OldOption`\n")
+	// History files name what once existed; they are not checked.
+	write(t, root, "ROADMAP.md", "wsd.Removed went away\n")
+	write(t, root, "CHANGES.md", "wsd.Removed went away\n")
+	report, problems := collect()
+	if err := lintFacadeRefs(root, report); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(*problems, "\n")
+	for _, want := range []string{"README.md:3: wsd.RestoreGone", "README.md:4: wsd.Estimate", "guide.md:1: wsd.OldOption"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("lint missed %q in:\n%s", want, got)
+		}
+	}
+	if len(*problems) != 3 {
+		t.Fatalf("problems = %v, want exactly the 3 stale references", *problems)
+	}
+}
+
 func TestFlagDocsLint(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "cmd/wsdfoo/main.go", `package main
@@ -348,6 +398,9 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := lintRouteDocs(root, report); err != nil {
+		t.Fatal(err)
+	}
+	if err := lintFacadeRefs(root, report); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range *problems {

@@ -50,6 +50,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -157,13 +158,10 @@ func startFleet(n int, kind wsd.Pattern, m, shards int, win int64, halflife floa
 		}
 	}
 	urls := make([]string, n)
+	budgets := shard.SplitBudget(m, n)
 	for i := 0; i < n; i++ {
-		budget := m / n
-		if budget < 1 {
-			budget = 1
-		}
 		srv, err := serve.New(serve.Config{
-			Pattern: kind, M: budget, Shards: shards,
+			Pattern: kind, M: max(budgets[i], 1), Shards: shards,
 			Options:  []wsd.Option{wsd.WithSeed(seed + int64(i)*101)},
 			Window:   win,
 			Halflife: halflife,
@@ -208,13 +206,13 @@ func listenAndServe(h http.Handler) (string, func(), error) {
 // churn is the endless feasible synthetic stream: inserts of fresh random
 // edges, deletions of currently present ones, at a fixed delete fraction.
 type churn struct {
-	rng      *rand.Rand
-	n        int
-	delFrac  float64
-	present  map[graph.Edge]struct{}
-	edges    []graph.Edge
-	scratch  []stream.Event
-	encodeBf bytes.Buffer
+	rng     *rand.Rand
+	n       int
+	delFrac float64
+	present map[graph.Edge]struct{}
+	edges   []graph.Edge
+	scratch []stream.Event
+	body    []byte
 }
 
 func newChurn(seed int64, n int, delFrac float64) *churn {
@@ -252,20 +250,11 @@ func (c *churn) batch(k int) []stream.Event {
 	return c.scratch
 }
 
-// encode renders a batch as one binary wire body, reusing the buffer.
-func (c *churn) encode(evs []stream.Event) ([]byte, error) {
-	c.encodeBf.Reset()
-	bw, err := stream.NewBinaryWriter(&c.encodeBf)
-	if err != nil {
-		return nil, err
-	}
-	if err := bw.WriteBatch(evs); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return c.encodeBf.Bytes(), nil
+// encode renders a batch as one binary wire body, reusing the buffer (the
+// returned slice is valid until the next call).
+func (c *churn) encode(evs []stream.Event) []byte {
+	c.body = stream.AppendBinary(c.body[:0], evs)
+	return c.body
 }
 
 type runConfig struct {
@@ -307,12 +296,8 @@ func run(target string, cfg runConfig) (benchsuite.Result, error) {
 			next = time.Now()
 		}
 		evs := src.batch(cfg.batch)
-		body, err := src.encode(evs)
-		if err != nil {
-			return benchsuite.Result{}, err
-		}
 		t0 := time.Now()
-		ok, err := postIngest(client, target, body)
+		ok, err := postIngest(client, target, src.encode(evs))
 		ingestLat.Observe(time.Since(t0))
 		if err != nil || !ok {
 			errors++

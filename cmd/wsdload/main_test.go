@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"testing"
+
+	wsd "repro"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -55,11 +59,7 @@ func TestChurnEncodeRoundTrips(t *testing.T) {
 	for b := 0; b < 20; b++ {
 		evs := src.batch(32)
 		want := append([]stream.Event(nil), evs...)
-		body, err := src.encode(evs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := stream.ReadBinary(bytes.NewReader(body))
+		got, err := stream.ReadBinary(bytes.NewReader(src.encode(evs)))
 		if err != nil {
 			t.Fatalf("batch %d: decode: %v", b, err)
 		}
@@ -71,5 +71,46 @@ func TestChurnEncodeRoundTrips(t *testing.T) {
 				t.Fatalf("batch %d event %d: decoded %+v, sent %+v", b, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestFleetSplitsWholeBudget: the -fleet workers' budgets split -m like a
+// sharded ensemble, remainder included, so the fleet holds exactly m edges.
+func TestFleetSplitsWholeBudget(t *testing.T) {
+	target, stop, err := startFleet(3, wsd.TrianglePattern, 10, 1, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	getJSON := func(url string, into any) {
+		t.Helper()
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fleet struct {
+		Workers []struct {
+			URL string `json:"url"`
+		} `json:"workers_detail"`
+	}
+	getJSON(target, &fleet)
+	if len(fleet.Workers) != 3 {
+		t.Fatalf("coordinator reports %d workers, want 3", len(fleet.Workers))
+	}
+	total := 0
+	for _, w := range fleet.Workers {
+		var worker struct {
+			M int `json:"m"`
+		}
+		getJSON(w.URL, &worker)
+		total += worker.M
+	}
+	if total != 10 {
+		t.Fatalf("workers hold %d edges of budget in total, want m=10", total)
 	}
 }

@@ -109,14 +109,8 @@ func ExampleNewMultiCounter() {
 		wsd.Insert(1, 2), wsd.Insert(2, 3), wsd.Insert(1, 3), // triangle {1,2,3}
 		wsd.Insert(3, 4), // wedges only
 	})
-	tri, err := mc.Estimate(wsd.TrianglePattern)
-	if err != nil {
-		panic(err)
-	}
-	wedge, err := mc.Estimate(wsd.WedgePattern)
-	if err != nil {
-		panic(err)
-	}
+	tri, _ := mc.EstimateOf(wsd.TrianglePattern) // false only for a pattern not counted
+	wedge, _ := mc.EstimateOf(wsd.WedgePattern)
 	fmt.Println(tri, wedge)
 	// Output:
 	// 1 5

@@ -1170,7 +1170,7 @@ func validateWorkerBlobs(blobs []json.RawMessage) ([]wsd.ShardedSnapshotInfo, er
 		if i == 0 {
 			continue
 		}
-		if info.Pattern != infos[0].Pattern || !slices.Equal(info.Patterns, infos[0].Patterns) {
+		if !slices.Equal(info.Patterns, infos[0].Patterns) {
 			return nil, fmt.Errorf("cluster: worker %d counts a different pattern set than worker 0; the fleet must be uniform", i)
 		}
 		if info.Shards != infos[0].Shards {

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,20 +16,11 @@ func TestDecodeBodyAllocs(t *testing.T) {
 	for i := range s {
 		s[i] = stream.Event{Op: stream.Op(i % 2), Edge: graph.NewEdge(graph.VertexID(i), graph.VertexID(3*i+1))}
 	}
-	var buf bytes.Buffer
-	bw, err := stream.NewBinaryWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := stream.AppendBinaryHeader(nil)
 	for lo := 0; lo < len(s); lo += 100 { // several frames
-		if err := bw.WriteBatch(s[lo:min(lo+100, len(s))]); err != nil {
-			t.Fatal(err)
-		}
+		payload := stream.AppendFramePayload(nil, s[lo:min(lo+100, len(s))])
+		body = append(binary.AppendUvarint(body, uint64(len(payload))), payload...)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.Bytes()
 
 	c := &Coordinator{}
 	decode := func() {

@@ -79,6 +79,15 @@ type SnapshotRingEntry struct {
 // version-3 patterns/estimates lists are present).
 func (s *Snapshot) Multi() bool { return len(s.Patterns) > 0 }
 
+// Counted returns the counted patterns in estimator order, primary first,
+// whichever shape the snapshot has.
+func (s *Snapshot) Counted() []pattern.Kind {
+	if s.Multi() {
+		return s.Patterns
+	}
+	return []pattern.Kind{s.Pattern}
+}
+
 // SnapshotItem is one sampled edge in a snapshot.
 type SnapshotItem struct {
 	U       graph.VertexID `json:"u"`
@@ -289,10 +298,7 @@ func Restore(s *Snapshot, cfg Config) (*Counter, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	snapPats := []pattern.Kind{s.Pattern}
-	if s.Multi() {
-		snapPats = s.Patterns
-	}
+	snapPats := s.Counted()
 	if len(cfg.Secondary) > 0 && !slices.Equal(cfg.patterns(), snapPats) {
 		return nil, fmt.Errorf("core: restore patterns %v do not match snapshot %v", cfg.patterns(), snapPats)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestRaceIngestSnapshotRestore(t *testing.T) {
 					t.Errorf("/snapshot returned a torn blob: %v", err)
 					return
 				}
-				if info.Pattern != pat || info.Shards != shards || info.TotalM != m {
+				if !slices.Equal(info.Patterns, []wsd.Pattern{pat}) || info.Shards != shards || info.TotalM != m {
 					t.Errorf("/snapshot shape %+v, want pattern %v, %d shards, total M %d", info, pat, shards, m)
 					return
 				}

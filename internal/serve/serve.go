@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -243,17 +244,8 @@ func (s *Server) Restore(blob []byte) (int, error) {
 		// The snapshot's embedded policy (if any) is what the revived
 		// counter will run — record it for /policy and /healthz.
 		snapPolicy = statusFromParams(info.Policy, policySourceSnapshot)
-		snapPatterns := info.Patterns
-		if snapPatterns == nil {
-			snapPatterns = []wsd.Pattern{info.Pattern}
-		}
-		if len(snapPatterns) != len(s.patterns) {
-			return fmt.Errorf("serve: snapshot counts %v, server is configured for %v", snapPatterns, s.patterns)
-		}
-		for i := range snapPatterns {
-			if snapPatterns[i] != s.patterns[i] {
-				return fmt.Errorf("serve: snapshot counts %v, server is configured for %v", snapPatterns, s.patterns)
-			}
+		if !slices.Equal(info.Patterns, s.patterns) {
+			return fmt.Errorf("serve: snapshot counts %v, server is configured for %v", info.Patterns, s.patterns)
 		}
 		if info.Shards != s.cfg.Shards {
 			return fmt.Errorf("serve: snapshot holds %d shards, server is configured for %d", info.Shards, s.cfg.Shards)

@@ -441,13 +441,15 @@ func (e *Ensemble) Flush() error {
 // EnsembleSnapshot is the serialized form of a whole ensemble: one encoded
 // counter snapshot per shard, in shard order. The combiner, budgets and
 // weight functions are configuration, not state — they are re-supplied at
-// Restore time just as in core.Restore.
+// restore time just as in core.Restore. The facade's
+// RestoreShardedCounterChecked is the ensemble restore: it rebuilds each
+// shard's counter and starts New at the recorded Position.
 type EnsembleSnapshot struct {
 	Version int               `json:"version"`
 	Shards  []json.RawMessage `json:"shards"`
 	// Position is the absolute stream position the snapshot was taken at
-	// (Processed at the quiesce point). Restore seeds the rebuilt ensemble's
-	// base with it, so positions survive checkpoint/restore — the anchor the
+	// (Processed at the quiesce point). A restore seeds the rebuilt
+	// ensemble's base with it, so positions survive checkpoint/restore — the anchor the
 	// cluster write-ahead log replays from. Omitted (zero) in snapshots
 	// predating the field, which restore at position zero as before.
 	Position int64 `json:"position,omitempty"`
@@ -503,30 +505,6 @@ func DecodeEnsembleSnapshot(data []byte) (*EnsembleSnapshot, error) {
 		return nil, fmt.Errorf("shard: ensemble snapshot holds no shards")
 	}
 	return &snap, nil
-}
-
-// Restore reconstructs an ensemble from a Snapshot blob. build reconstructs
-// shard i's counter from its encoded snapshot (e.g. core.DecodeSnapshot +
-// core.Restore with the deployment's weight function); the options play the
-// same role as in New. The restored ensemble is started and ready to ingest.
-func Restore(data []byte, build func(i int, shard []byte) (Counter, error), opts ...Option) (*Ensemble, error) {
-	snap, err := DecodeEnsembleSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	counters := make([]Counter, len(snap.Shards))
-	for i, raw := range snap.Shards {
-		c, err := build(i, raw)
-		if err != nil {
-			return nil, fmt.Errorf("shard: restore counter %d: %w", i, err)
-		}
-		counters[i] = c
-	}
-	// The snapshot's position seeds the base last, so it wins over any
-	// caller-supplied WithBasePosition; the full slice expression keeps the
-	// append from scribbling into the caller's backing array.
-	opts = append(opts[:len(opts):len(opts)], WithBasePosition(snap.Position))
-	return New(counters, opts...)
 }
 
 // Close drains all pending events, stops the workers, and returns the final

@@ -37,6 +37,23 @@ func restoreBuild(i int, raw []byte) (Counter, error) {
 	return core.Restore(snap, core.Config{Weight: weights.GPSDefault()})
 }
 
+// restore rebuilds an ensemble from a Snapshot blob the way the facade's
+// sharded restore does: build revives each shard's counter, and the
+// snapshot's position seeds the new ensemble's base.
+func restore(data []byte, build func(i int, raw []byte) (Counter, error)) (*Ensemble, error) {
+	snap, err := DecodeEnsembleSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	counters := make([]Counter, len(snap.Shards))
+	for i, raw := range snap.Shards {
+		if counters[i], err = build(i, raw); err != nil {
+			return nil, err
+		}
+	}
+	return New(counters, WithBasePosition(snap.Position))
+}
+
 // TestEnsembleSnapshotBitIdenticalResume checks the tentpole property at the
 // sharded layer: an ensemble snapshotted mid-stream and restored produces
 // exactly the estimate an uninterrupted ensemble produces over the same
@@ -79,7 +96,7 @@ func TestEnsembleSnapshotBitIdenticalResume(t *testing.T) {
 		t.Log("interrupted ensemble closed with zero estimate (possible but unusual)")
 	}
 
-	restored, err := Restore(blob, restoreBuild)
+	restored, err := restore(blob, restoreBuild)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +254,16 @@ func TestSnapshotRequiresCheckpointable(t *testing.T) {
 }
 
 func TestRestoreValidation(t *testing.T) {
-	if _, err := Restore([]byte(`garbage`), restoreBuild); err == nil {
+	if _, err := restore([]byte(`garbage`), restoreBuild); err == nil {
 		t.Error("garbage should be rejected")
 	}
-	if _, err := Restore([]byte(`{"version":9,"shards":[]}`), restoreBuild); err == nil {
+	if _, err := restore([]byte(`{"version":9,"shards":[]}`), restoreBuild); err == nil {
 		t.Error("unknown version should be rejected")
 	}
-	if _, err := Restore([]byte(`{"version":1,"shards":[]}`), restoreBuild); err == nil {
+	if _, err := restore([]byte(`{"version":1,"shards":[]}`), restoreBuild); err == nil {
 		t.Error("empty shard list should be rejected")
 	}
-	if _, err := Restore([]byte(`{"version":1,"shards":[{"version":99}]}`), restoreBuild); err == nil {
+	if _, err := restore([]byte(`{"version":1,"shards":[{"version":99}]}`), restoreBuild); err == nil {
 		t.Error("corrupt shard snapshot should be rejected")
 	}
 }

@@ -135,7 +135,7 @@ func TestEnsembleVectorSnapshotResume(t *testing.T) {
 			}
 			e.Close()
 
-			restored, err := Restore(blob, func(i int, raw []byte) (Counter, error) {
+			restored, err := restore(blob, func(i int, raw []byte) (Counter, error) {
 				snap, err := core.DecodeSnapshot(raw)
 				if err != nil {
 					return nil, err

@@ -139,3 +139,17 @@ func TestBatchPoolRecycles(t *testing.T) {
 	b3.Release()
 	b3.Release() // underflow
 }
+
+// TestAppendBinaryAllocs pins AppendBinary at zero allocations into a reused
+// buffer once it has grown: a producer encoding one body per request
+// (wsdload's churn) reuses its buffer instead of allocating per request.
+func TestAppendBinaryAllocs(t *testing.T) {
+	s, encoded := allocStream(t, 3*DefaultFrameEvents+7)
+	buf := make([]byte, 0, len(encoded))
+	if avg := testing.AllocsPerRun(20, func() { buf = AppendBinary(buf[:0], s) }); avg != 0 {
+		t.Errorf("AppendBinary makes %.1f allocations into a sized buffer, want 0", avg)
+	}
+	if !bytes.Equal(buf, encoded) {
+		t.Fatal("AppendBinary bytes differ from WriteBinary's")
+	}
+}

@@ -36,7 +36,7 @@ var binaryMagic = [4]byte{'W', 'S', 'D', 'B'}
 const binaryVersion = 1
 
 const (
-	// DefaultFrameEvents is the batch size WriteBinary cuts frames at: large
+	// DefaultFrameEvents is the batch size AppendBinary cuts frames at: large
 	// enough to amortize the length prefix and per-frame call overhead,
 	// small enough that a streaming consumer gets work promptly.
 	DefaultFrameEvents = 4096
@@ -46,12 +46,11 @@ const (
 	// write-ahead log (internal/wal), which stores frame payloads verbatim,
 	// applies the same bound when reading records back.
 	MaxFrameBytes = 16 << 20
-	// MaxFrameEvents is the largest batch WriteBatch packs into one frame;
+	// MaxFrameEvents is the largest batch a producer packs into one frame;
 	// bigger batches are split. At the 10-byte worst case per event
 	// (two maximal 32-bit varints) this stays under MaxFrameBytes, so a
-	// written frame is always readable. Exported so producers that must agree
-	// on frame boundaries (the cluster coordinator canonicalizing a body and
-	// logging it) split batches exactly where WriteBatch would.
+	// written frame is always readable. The cluster coordinator, which
+	// canonicalizes a body and logs it, splits its batches here.
 	MaxFrameEvents = 1 << 20
 )
 
@@ -64,46 +63,31 @@ const (
 // on it but cannot import each other.
 const PosHeader = "X-Wsd-Stream-Pos"
 
-// BinaryWriter writes a binary event stream frame by frame.
-type BinaryWriter struct {
-	w   *bufio.Writer
-	buf []byte // scratch for one frame payload
-}
-
-// NewBinaryWriter writes the header and returns a writer. Call Flush when
-// done.
-func NewBinaryWriter(w io.Writer) (*BinaryWriter, error) {
-	bw := &BinaryWriter{w: bufio.NewWriter(w)}
-	if _, err := bw.w.Write(binaryMagic[:]); err != nil {
-		return nil, fmt.Errorf("stream: write binary header: %w", err)
+// AppendBinary appends the binary stream of evs to dst — the header, then
+// frames of DefaultFrameEvents events — and returns the extended slice. An
+// empty evs is a header alone: a zero-event frame is legal to read but never
+// written.
+func AppendBinary(dst []byte, evs []Event) []byte {
+	dst = AppendBinaryHeader(dst)
+	for lo := 0; lo < len(evs); lo += DefaultFrameEvents {
+		frame := evs[lo:min(lo+DefaultFrameEvents, len(evs))]
+		// Encode the payload behind room for a 5-byte length prefix (a
+		// DefaultFrameEvents payload is under 41 KB), then write the prefix
+		// and slide the payload down to meet it: no scratch buffer.
+		at := len(dst)
+		dst = AppendFramePayload(append(dst, make([]byte, binary.MaxVarintLen32)...), frame)
+		size := len(dst) - at - binary.MaxVarintLen32
+		n := binary.PutUvarint(dst[at:], uint64(size))
+		copy(dst[at+n:], dst[at+binary.MaxVarintLen32:])
+		dst = dst[:at+n+size]
 	}
-	if err := bw.w.WriteByte(binaryVersion); err != nil {
-		return nil, fmt.Errorf("stream: write binary header: %w", err)
-	}
-	return bw, nil
-}
-
-// WriteBatch appends a frame holding the given events; batches above
-// MaxFrameEvents are split across frames so no written frame can exceed the
-// reader's size bound. Empty batches are ignored (a zero-event frame is
-// legal to read but never written).
-func (bw *BinaryWriter) WriteBatch(evs []Event) error {
-	for len(evs) > MaxFrameEvents {
-		if err := bw.writeFrame(evs[:MaxFrameEvents]); err != nil {
-			return err
-		}
-		evs = evs[MaxFrameEvents:]
-	}
-	if len(evs) == 0 {
-		return nil
-	}
-	return bw.writeFrame(evs)
+	return dst
 }
 
 // AppendFramePayload encodes one frame payload — uvarint(eventCount) followed
 // by the varint-packed events — appended to dst, and returns the extended
 // slice. It is the single definition of the payload encoding, shared by
-// writeFrame and by the cluster coordinator, which encodes each frame once
+// AppendBinary and by the cluster coordinator, which encodes each frame once
 // and hands the same bytes to the wire body and to the write-ahead log
 // (internal/wal), so a logged frame replays verbatim onto the wire.
 func AppendFramePayload(dst []byte, evs []Event) []byte {
@@ -117,27 +101,6 @@ func AppendFramePayload(dst []byte, evs []Event) []byte {
 		dst = binary.AppendUvarint(dst, uint64(ev.Edge.V))
 	}
 	return dst
-}
-
-func (bw *BinaryWriter) writeFrame(evs []Event) error {
-	bw.buf = AppendFramePayload(bw.buf[:0], evs)
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(bw.buf)))
-	if _, err := bw.w.Write(lenBuf[:n]); err != nil {
-		return fmt.Errorf("stream: write frame: %w", err)
-	}
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		return fmt.Errorf("stream: write frame: %w", err)
-	}
-	return nil
-}
-
-// Flush flushes buffered frames to the underlying writer.
-func (bw *BinaryWriter) Flush() error {
-	if err := bw.w.Flush(); err != nil {
-		return fmt.Errorf("stream: flush: %w", err)
-	}
-	return nil
 }
 
 // IsBinary reports whether data starts a binary stream: the prefix test every
@@ -284,27 +247,17 @@ func DecodeFramePayload(dst []Event, payload []byte) ([]Event, error) {
 	return dst, nil
 }
 
-// WriteBinary serializes the stream in the binary format, cutting frames of
-// DefaultFrameEvents events.
+// WriteBinary serializes the stream in the binary format (AppendBinary) with
+// one write.
 func WriteBinary(w io.Writer, s Stream) error {
-	bw, err := NewBinaryWriter(w)
-	if err != nil {
-		return err
+	if _, err := w.Write(AppendBinary(nil, s)); err != nil {
+		return fmt.Errorf("stream: write binary stream: %w", err)
 	}
-	for lo := 0; lo < len(s); lo += DefaultFrameEvents {
-		hi := lo + DefaultFrameEvents
-		if hi > len(s) {
-			hi = len(s)
-		}
-		if err := bw.WriteBatch(s[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinary parses a whole binary stream produced by WriteBinary (or any
-// sequence of BinaryWriter batches), copied into memory once.
+// other framing of AppendFramePayload payloads), copied into memory once.
 func ReadBinary(r io.Reader) (Stream, error) {
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
@@ -321,21 +274,13 @@ func AppendBinaryHeader(dst []byte) []byte {
 	return append(append(dst, binaryMagic[:]...), binaryVersion)
 }
 
-// SniffBinary peeks at r and reports whether it starts a binary stream. The
-// returned reader replays the peeked bytes, so it hands the complete stream
-// to whichever decoder the caller picks.
-func SniffBinary(r io.Reader) (io.Reader, bool) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
-	return br, err == nil && IsBinary(head)
-}
-
 // ReadAuto parses a stream in either format, sniffing the binary magic. Text
 // streams (including plain edge lists) fall through to Read, so every tool
 // that loads streams accepts both transparently.
 func ReadAuto(r io.Reader) (Stream, error) {
-	br, isBinary := SniffBinary(r)
-	if isBinary {
+	br := bufio.NewReader(r)
+	// The peek replays: whichever decoder runs sees the complete stream.
+	if head, err := br.Peek(len(binaryMagic)); err == nil && IsBinary(head) {
 		return ReadBinary(br)
 	}
 	return Read(br)

@@ -2,11 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,71 +82,56 @@ func TestBinaryExtremeVertexIDs(t *testing.T) {
 	}
 }
 
+// TestBinaryStreamingBatches: AppendBinary cuts full DefaultFrameEvents
+// frames and a short tail, never an empty frame, and the frames round-trip.
 func TestBinaryStreamingBatches(t *testing.T) {
-	var buf bytes.Buffer
-	bw, err := NewBinaryWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := syntheticStream(5, 1000)
-	for lo := 0; lo < len(s); lo += 33 {
-		hi := lo + 33
-		if hi > len(s) {
-			hi = len(s)
-		}
-		if err := bw.WriteBatch(s[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.WriteBatch(nil); err != nil { // empty batches are no-ops
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
+	s := syntheticStream(5, 3*DefaultFrameEvents+33)
 	var got Stream
-	err = EachFrame(buf.Bytes(), func(payload []byte) error {
+	var sizes []int
+	err := EachFrame(AppendBinary(nil, s), func(payload []byte) error {
 		batch, err := DecodeFramePayload(nil, payload)
 		if err != nil {
 			return err
 		}
-		if len(batch) == 0 || len(batch) > 33 {
-			t.Fatalf("unexpected batch size %d", len(batch))
-		}
+		sizes = append(sizes, len(batch))
 		got = append(got, batch...)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(s) {
-		t.Fatalf("streamed %d events, want %d", len(got), len(s))
+	if want := []int{DefaultFrameEvents, DefaultFrameEvents, DefaultFrameEvents, 33}; !slices.Equal(sizes, want) {
+		t.Fatalf("frame sizes %v, want %v", sizes, want)
+	}
+	if !slices.Equal(got, s) {
+		t.Fatalf("streamed %d events, want the %d written", len(got), len(s))
+	}
+	// No events, no frame: the stream is the header alone.
+	if empty := AppendBinary(nil, nil); !bytes.Equal(empty, AppendBinaryHeader(nil)) {
+		t.Fatalf("empty stream encodes as %x, want the bare header", empty)
 	}
 }
 
-// TestWriteBatchSplitsOversizedBatches: a single WriteBatch above the
-// per-frame event cap must still produce a stream every reader accepts.
-func TestWriteBatchSplitsOversizedBatches(t *testing.T) {
+// TestAppendBinarySplitsOversizedBatches: one AppendBinary call over more
+// events than MaxFrameEvents still produces a stream every reader accepts,
+// in DefaultFrameEvents frames, and appends behind whatever dst holds.
+func TestAppendBinarySplitsOversizedBatches(t *testing.T) {
 	n := MaxFrameEvents + 5
 	s := make(Stream, n)
 	for i := range s {
 		s[i] = Event{Op: Insert, Edge: graph.NewEdge(graph.VertexID(i), graph.VertexID(i+1))}
 	}
-	var buf bytes.Buffer
-	bw, err := NewBinaryWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.WriteBatch(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
+	prefix := []byte("kept")
+	data := AppendBinary(append([]byte{}, prefix...), s)
+	if !bytes.HasPrefix(data, prefix) {
+		t.Fatal("AppendBinary overwrote dst")
 	}
 	total, frames := 0, 0
-	err = EachFrame(buf.Bytes(), func(payload []byte) error {
+	err := EachFrame(data[len(prefix):], func(payload []byte) error {
 		batch, err := DecodeFramePayload(nil, payload)
+		if len(batch) > DefaultFrameEvents {
+			t.Fatalf("frame of %d events, above DefaultFrameEvents", len(batch))
+		}
 		total += len(batch)
 		frames++
 		return err
@@ -155,8 +142,33 @@ func TestWriteBatchSplitsOversizedBatches(t *testing.T) {
 	if total != n {
 		t.Fatalf("read %d of %d events", total, n)
 	}
-	if frames != 2 {
-		t.Fatalf("oversized batch split into %d frames, want 2", frames)
+	if want := (n + DefaultFrameEvents - 1) / DefaultFrameEvents; frames != want {
+		t.Fatalf("oversized batch split into %d frames, want %d", frames, want)
+	}
+}
+
+// TestWriteBinaryPinnedBytes pins WriteBinary's output to the bytes of the
+// buffered frame writer it replaced (length and sha256 per stream): encoded
+// benchmark inputs and recorded streams must not change.
+func TestWriteBinaryPinnedBytes(t *testing.T) {
+	for _, tc := range []struct {
+		n, bytes int
+		sha256   string
+	}{
+		{0, 5, "8fc2a6e704a5eb2ce464d9543eb0b7bd2d56c5dc1ca6fb708f6f4a93b27a97f0"},
+		{1, 13, "6d2540f38b0941f6025eae661d44db4dec103ffef336449db2f21fd97bbc3b38"},
+		{4096, 24515, "515f34caf3f2e41c67a70fff15dba679e3561870c2468852147ce9d8f07d7756"},
+		{4097, 24539, "c22145196747473a37995fa13fa3e01b4448f26dac2bc6d1ebe7a7289bcb64f6"},
+		{12305, 73655, "629ad346ee5fe7055243e889ff632584f12ed00c7e5050e2653a1cb91f028d86"},
+		{262149, 1569177, "7b1d06b5ab3f7fc971dce0f193f227f493182aa9b6da0e48daaa47036a7da92b"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, syntheticStream(int64(tc.n)+1, tc.n)); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != tc.bytes || got != tc.sha256 {
+			t.Errorf("n=%d: %d bytes sha256 %s, want %d bytes sha256 %s", tc.n, buf.Len(), got, tc.bytes, tc.sha256)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 var apiPatterns = []wsd.Pattern{wsd.TrianglePattern, wsd.WedgePattern, wsd.FourCliquePattern}
 
 // TestMultiCounterAPI: per-pattern estimates through the facade surface, and
-// a clean error for a pattern the counter does not serve.
+// a clean refusal for a pattern the counter does not serve.
 func TestMultiCounterAPI(t *testing.T) {
 	s := checkpointStream(t, 5, 400)
 	mc, err := wsd.NewMultiCounter(apiPatterns, 300, wsd.WithSeed(3))
@@ -24,9 +24,9 @@ func TestMultiCounterAPI(t *testing.T) {
 	}
 	ests := mc.Estimates()
 	for i, p := range apiPatterns {
-		est, err := mc.Estimate(p)
-		if err != nil {
-			t.Fatal(err)
+		est, ok := mc.EstimateOf(p)
+		if !ok {
+			t.Fatalf("%s: EstimateOf refused a counted pattern", p)
 		}
 		if est != ests[i] {
 			t.Fatalf("%s: Estimate %v, Estimates[%d] %v", p, est, i, ests[i])
@@ -38,8 +38,8 @@ func TestMultiCounterAPI(t *testing.T) {
 			t.Fatalf("%s: estimate is zero after %d events", p, len(s))
 		}
 	}
-	if _, err := mc.Estimate(wsd.Pattern(4)); err == nil { // 5-clique: not served
-		t.Fatal("Estimate accepted an unserved pattern")
+	if _, ok := mc.EstimateOf(wsd.Pattern(4)); ok { // 5-clique: not served
+		t.Fatal("EstimateOf accepted an unserved pattern")
 	}
 
 	// The primary pattern must bit-match a plain counter with the same seed
@@ -51,13 +51,14 @@ func TestMultiCounterAPI(t *testing.T) {
 	for _, ev := range s {
 		single.Process(ev)
 	}
-	if primary, _ := mc.Estimate(wsd.TrianglePattern); primary != single.Estimate() {
+	if primary, _ := mc.EstimateOf(wsd.TrianglePattern); primary != single.Estimate() {
 		t.Fatalf("primary estimate %v, single counter %v", primary, single.Estimate())
 	}
 }
 
-// TestMultiCounterCheckpointBitIdentical: facade checkpoint/restore of a
-// multi-pattern counter resumes bit-identically on every pattern.
+// TestMultiCounterCheckpointBitIdentical: a multi-pattern counter's
+// Checkpoint restores through RestoreCounter, the one counter restore, and
+// resumes bit-identically on every pattern.
 func TestMultiCounterCheckpointBitIdentical(t *testing.T) {
 	s := checkpointStream(t, 9, 500)
 	cut := len(s) / 2
@@ -77,7 +78,7 @@ func TestMultiCounterCheckpointBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := wsd.RestoreMultiCounter(blob, wsd.WithSeed(17))
+	restored, err := wsd.RestoreCounter(blob, wsd.WithSeed(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +86,18 @@ func TestMultiCounterCheckpointBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(restored.Estimates(), whole.Estimates()) {
 		t.Fatalf("restored estimates %v, uninterrupted %v", restored.Estimates(), whole.Estimates())
 	}
+	if got := restored.Patterns(); !reflect.DeepEqual(got, apiPatterns) {
+		t.Fatalf("restored patterns %v, want %v", got, apiPatterns)
+	}
+	for _, p := range apiPatterns {
+		got, ok := restored.EstimateOf(p)
+		want, _ := whole.EstimateOf(p)
+		if !ok || got != want {
+			t.Fatalf("%s: restored %v (ok=%v), uninterrupted %v", p, got, ok, want)
+		}
+	}
 
-	// The generic Checkpoint helper also accepts the wrapper.
+	// The generic Checkpoint helper also accepts the MultiCounter.
 	if _, err := wsd.Checkpoint(restored); err != nil {
 		t.Fatalf("generic Checkpoint: %v", err)
 	}
@@ -126,7 +137,7 @@ func TestShardedMultiCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Pattern != wsd.TrianglePattern || !reflect.DeepEqual(info.Patterns, apiPatterns) {
+	if !reflect.DeepEqual(info.Patterns, apiPatterns) {
 		t.Fatalf("snapshot info %+v", info)
 	}
 	if info.Shards != 3 || info.TotalM != 300 {
@@ -150,10 +161,59 @@ func TestShardedMultiCounter(t *testing.T) {
 	}
 }
 
-// TestMultiPatternsHelper covers the variadic pattern-list constructor.
-func TestMultiPatternsHelper(t *testing.T) {
-	got := wsd.MultiPatterns(wsd.TrianglePattern, wsd.WedgePattern)
-	if !reflect.DeepEqual(got, []wsd.Pattern{wsd.TrianglePattern, wsd.WedgePattern}) {
-		t.Fatalf("MultiPatterns = %v", got)
+// TestProcessorPublishesEveryPattern: a Processor over a MultiCounter
+// publishes the whole estimate vector, bit-equal after Flush to an
+// identically seeded counter fed directly.
+func TestProcessorPublishesEveryPattern(t *testing.T) {
+	s := checkpointStream(t, 13, 500)
+	build := func() *wsd.MultiCounter {
+		mc, err := wsd.NewMultiCounter(apiPatterns, 250, wsd.WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mc
+	}
+	direct := build()
+	direct.ProcessBatch(s)
+
+	p := wsd.NewProcessor(build(), 4)
+	defer p.Close()
+	for lo := 0; lo < len(s); lo += 64 {
+		if err := p.SubmitBatch(s[lo:min(lo+64, len(s))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if p.NumEstimates() != len(apiPatterns) {
+		t.Fatalf("NumEstimates = %d, want %d", p.NumEstimates(), len(apiPatterns))
+	}
+	if got, want := p.EstimateVector(), direct.Estimates(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("processor vector %v, direct %v", got, want)
+	}
+}
+
+// TestInspectSinglePatternSnapshot: a single-pattern ensemble blob lists its
+// one pattern, so deployments compare pattern sets with one slices.Equal.
+func TestInspectSinglePatternSnapshot(t *testing.T) {
+	e, err := wsd.NewShardedCounter(wsd.TrianglePattern, 60, 2, wsd.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.SubmitBatch(checkpointStream(t, 3, 100)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := wsd.InspectShardedSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []wsd.Pattern{wsd.TrianglePattern}; !reflect.DeepEqual(info.Patterns, want) {
+		t.Fatalf("Patterns = %v, want %v", info.Patterns, want)
 	}
 }

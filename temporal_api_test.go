@@ -103,7 +103,7 @@ func TestTemporalFacadeRefusals(t *testing.T) {
 		multi.Process(ev)
 		single.Process(ev)
 	}
-	if got, _ := multi.Estimate(wsd.TrianglePattern); got != single.Estimate() {
+	if got, _ := multi.EstimateOf(wsd.TrianglePattern); got != single.Estimate() {
 		t.Fatalf("decayed multi-pattern primary estimate %v, single-pattern %v", got, single.Estimate())
 	}
 	if _, err := wsd.NewCounter(wsd.TrianglePattern, 100, wsd.WithWindow(-3)); err == nil {
@@ -210,9 +210,9 @@ func TestWindowMultiPatternFacade(t *testing.T) {
 		whole.Process(ev)
 		oracle.Apply(ev)
 		for _, p := range apiPatterns {
-			got, err := whole.Estimate(p)
-			if err != nil {
-				t.Fatal(err)
+			got, ok := whole.EstimateOf(p)
+			if !ok {
+				t.Fatalf("%s: EstimateOf refused a counted pattern", p)
 			}
 			if want := float64(oracle.Count(p)); got != want {
 				t.Fatalf("%s step %d: windowed estimate %v, exact %v", p, i, got, want)
@@ -225,7 +225,7 @@ func TestWindowMultiPatternFacade(t *testing.T) {
 		}
 	}
 
-	restored, err := wsd.RestoreMultiCounter(blob, wsd.WithSeed(8))
+	restored, err := wsd.RestoreCounter(blob, wsd.WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}

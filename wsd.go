@@ -103,9 +103,8 @@ type options struct {
 	policy *Policy
 
 	// Sharded-counter options; ignored by the single-counter constructors.
-	momGroups   int
-	fullBudget  bool
-	shardBuffer int
+	momGroups  int
+	fullBudget bool
 
 	// Partitioned-deployment options (WithPartition); partitionCount == 0
 	// means not partitioned.
@@ -162,12 +161,6 @@ func WithMedianOfMeans(groups int) Option {
 // single-counter variance). Ignored by non-sharded constructors.
 func WithFullBudgetShards() Option {
 	return func(o *options) { o.fullBudget = true }
-}
-
-// WithShardBuffer sets each shard's feed buffer, in batches (default 4).
-// Ignored by non-sharded constructors.
-func WithShardBuffer(n int) Option {
-	return func(o *options) { o.shardBuffer = n }
 }
 
 // WithPartition declares the counter to be partition index of a count-way
@@ -316,14 +309,14 @@ func coreConfig(o *options, patterns []Pattern, m int) (core.Config, error) {
 }
 
 // NewCounter returns a WSD counter for the given pattern with reservoir
-// capacity m. Without options it is WSD-H (the paper's heuristic instance).
+// capacity m: a one-pattern MultiCounter. Without options it is WSD-H (the
+// paper's heuristic instance).
 func NewCounter(p Pattern, m int, opts ...Option) (Counter, error) {
-	o := newOptions(opts)
-	cfg, err := coreConfig(&o, []Pattern{p}, m)
+	c, err := NewMultiCounter([]Pattern{p}, m, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return core.New(cfg)
+	return c, nil
 }
 
 // NewTriangleCounter returns a WSD triangle counter with reservoir capacity
@@ -419,10 +412,12 @@ type BatchPool = stream.BatchPool
 // ShardedCounter of one shard: Submit enqueues one event without allocating,
 // SubmitBatch is the amortized fast path and SubmitPooled its zero-allocation
 // variant over pooled batches. Quiesce hands the callback the counter as
-// shard 0, typed ShardCounter. Snapshot returns a one-shard ensemble blob:
-// RestoreShardedCounter revives it as a sharded counter, and RestoreCounter,
-// RestoreLocalCounter or RestoreMultiCounter (matching the wrapped counter)
-// revive the counter itself, ready for a new NewProcessor.
+// shard 0, typed ShardCounter. Wrapping a MultiCounter publishes all of its
+// estimates: read them with EstimateAt or EstimateVector in Patterns order.
+// Snapshot returns a one-shard ensemble blob: RestoreShardedCounter revives
+// it as a sharded counter, and RestoreCounter or RestoreLocalCounter
+// (matching the wrapped counter) revive the counter itself, ready for a new
+// NewProcessor.
 type Processor = ShardedCounter
 
 // NewProcessor wraps a counter in a dedicated ingestion goroutine with the
@@ -514,26 +509,22 @@ func newShardedCounter(patterns []Pattern, m, shards int, opts []Option) (*Shard
 // shardOptions reduces the sharding-related options to shard.Options, shared
 // by NewShardedCounter and RestoreShardedCounter.
 func shardOptions(o *options) []shard.Option {
-	var sopts []shard.Option
 	if o.momGroups > 0 {
-		sopts = append(sopts, shard.WithCombiner(combine.MedianOfMeans(o.momGroups)))
+		return []shard.Option{shard.WithCombiner(combine.MedianOfMeans(o.momGroups))}
 	}
-	if o.shardBuffer > 0 {
-		sopts = append(sopts, shard.WithBuffer(o.shardBuffer))
-	}
-	return sopts
+	return nil
 }
 
 // Checkpointable is implemented by counters whose complete state — reservoir,
-// thresholds, temporal bookkeeping, and RNG state — serializes to bytes. The
-// counters returned by NewCounter, NewLocalCounter, and NewMultiCounter
-// implement it. The ingestion layers (Processor, ShardedCounter) do not:
-// they checkpoint through their own Snapshot method. A Processor's Snapshot
-// blob restores through the wrapped counter's own Restore function, and the
-// counter's own bytes stay reachable by calling Checkpoint on the
-// ShardCounter that Quiesce hands its callback.
-// A counter restored from a checkpoint continues bit-identically to the
-// uninterrupted run: same sample trajectory, same estimates.
+// thresholds, temporal bookkeeping, and RNG state — serializes to bytes: the
+// MultiCounter that NewCounter and NewMultiCounter build (RestoreCounter
+// revives it) and the LocalCounter (RestoreLocalCounter). The ingestion
+// layers (Processor, ShardedCounter) do not: they checkpoint through their
+// own Snapshot method. A Processor's Snapshot blob restores through the
+// wrapped counter's own restore function, and the counter's own bytes stay
+// reachable by calling Checkpoint on the ShardCounter that Quiesce hands its
+// callback. A counter restored from a checkpoint continues bit-identically to
+// the uninterrupted run: same sample trajectory, same estimates.
 type Checkpointable interface {
 	Checkpoint() ([]byte, error)
 }
@@ -554,26 +545,24 @@ func Checkpoint(c any) ([]byte, error) {
 }
 
 // RestoreCounter revives a counter from a Checkpoint blob produced by a
-// NewCounter counter. Heuristic and user-supplied weight functions are code,
-// not state, so the same weight options used at construction time must be
-// passed again; a learned policy travels in the snapshot itself (format v4)
-// and is revived automatically when no explicit weight option is given. The
-// RNG state comes from the checkpoint, making the restored counter's future
+// NewCounter or NewMultiCounter counter; the patterns, budget, estimates and
+// temporal mode come from the blob, so a multi-pattern counter continues on
+// every pattern. Heuristic and user-supplied weight functions are code, not
+// state, so the same weight options used at construction time must be passed
+// again; a learned policy travels in the snapshot itself (format v4) and is
+// revived automatically when no explicit weight option is given. The RNG
+// state comes from the checkpoint, making the restored counter's future
 // trajectory bit-identical to the uninterrupted one.
 //
 // The Snapshot blob of a Processor wrapping such a counter restores here
 // too: a one-shard ensemble blob is unwrapped to its shard's counter bytes.
-func RestoreCounter(data []byte, opts ...Option) (Counter, error) {
+func RestoreCounter(data []byte, opts ...Option) (*MultiCounter, error) {
 	o := newOptions(opts)
 	snap, err := decodeCounterBlob(data, core.DecodeSnapshot)
 	if err != nil {
 		return nil, err
 	}
-	c, err := restoreCore(snap, &o, xrand.New(o.seed))
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	return restoreCore(snap, &o, xrand.New(o.seed))
 }
 
 // RestoreLocalCounter revives a local counter from a Checkpoint blob produced
@@ -616,12 +605,8 @@ func decodeCounterBlob[S any](data []byte, decode func([]byte) (S, error)) (S, e
 // total reservoir budget across shards. Deployments use it to refuse a
 // snapshot that does not match their configuration before swapping it in.
 type ShardedSnapshotInfo struct {
-	// Pattern is the primary pattern (the only one for single-pattern
-	// deployments).
-	Pattern Pattern
-	// Patterns lists every counted pattern in estimator order for
-	// multi-pattern deployments (NewShardedMultiCounter); it is nil for
-	// single-pattern snapshots.
+	// Patterns lists every counted pattern in estimator order, primary
+	// first; a single-pattern deployment lists its one pattern.
 	Patterns []Pattern
 	Shards   int
 	TotalM   int // sum of per-shard budgets (equals m in split-budget mode, m*Shards in full-budget mode)
@@ -671,15 +656,13 @@ func decodeShardedSnapshot(data []byte) ([]*core.Snapshot, ShardedSnapshotInfo, 
 			}
 			return nil, ShardedSnapshotInfo{}, fmt.Errorf("wsd: shard %d: %w", i, err)
 		}
+		patterns := cs.Counted()
 		if i == 0 {
-			info.Pattern = cs.Pattern
-			if cs.Multi() {
-				info.Patterns = append([]Pattern(nil), cs.Patterns...)
-			}
+			info.Patterns = slices.Clone(patterns)
 			info.Policy = cs.Policy.Clone()
 			info.Window, info.Halflife = cs.Window, cs.Halflife
-		} else if cs.Pattern != info.Pattern || !slices.Equal(info.Patterns, cs.Patterns) {
-			return nil, ShardedSnapshotInfo{}, fmt.Errorf("wsd: snapshot mixes patterns across shards (%v vs %v)", shardPatterns(info), cs.Patterns)
+		} else if !slices.Equal(info.Patterns, patterns) {
+			return nil, ShardedSnapshotInfo{}, fmt.Errorf("wsd: snapshot mixes patterns across shards (%v vs %v)", info.Patterns, patterns)
 		} else if shardPolicyID(cs.Policy) != shardPolicyID(info.Policy) {
 			return nil, ShardedSnapshotInfo{}, fmt.Errorf("wsd: snapshot mixes policies across shards (shard %d has %q, shard 0 has %q)", i, shardPolicyID(cs.Policy), shardPolicyID(info.Policy))
 		} else if cs.Window != info.Window || cs.Halflife != info.Halflife {
@@ -698,14 +681,6 @@ func shardPolicyID(p *core.PolicyParams) string {
 		return ""
 	}
 	return p.ID
-}
-
-// shardPatterns renders an info's pattern set for error messages.
-func shardPatterns(info ShardedSnapshotInfo) []Pattern {
-	if info.Patterns != nil {
-		return info.Patterns
-	}
-	return []Pattern{info.Pattern}
 }
 
 // InspectShardedSnapshot decodes the header and per-shard metadata of a
@@ -755,8 +730,8 @@ func RestoreShardedCounterChecked(data []byte, check func(ShardedSnapshotInfo) e
 }
 
 // restoreCore rebuilds one core counter from its decoded snapshot, for
-// RestoreCounter, RestoreMultiCounter, and each shard of
-// RestoreShardedCounter: single- and multi-pattern snapshots restore alike.
+// RestoreCounter and each shard of RestoreShardedCounter: single- and
+// multi-pattern snapshots restore alike.
 func restoreCore(snap *core.Snapshot, o *options, rng core.Rand) (*core.Counter, error) {
 	cfg, err := restoreConfig(o, snap.Policy, rng)
 	if err != nil {
