@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -393,5 +395,105 @@ func TestSnapshotValidateTemporal(t *testing.T) {
 	}
 	if back.Window != 30 || len(back.Ring) != 3 || back.Ring[1].Dead != true {
 		t.Fatalf("temporal fields lost in round trip: %+v", back)
+	}
+}
+
+// ringChurnStream builds a feasible windowed history for a window of w
+// insertions: fresh random edges over a small vertex set, a genuine deletion
+// of the edge inserted three ticks earlier on every fifth step (still live in
+// the window, so the ring kills it), a deletion of an edge that aged out of
+// the window on every seventh step (the ring ignores it), and the
+// re-insertion of each killed edge four steps after its deletion (so the
+// ring holds a dead entry and a live entry for the same edge).
+func ringChurnStream(seed int64, n, steps int, w int64) stream.Stream {
+	rng := rand.New(rand.NewSource(seed))
+	var s stream.Stream
+	present := map[graph.Edge]bool{}
+	insertedAt := map[int64]graph.Edge{}
+	type repush struct {
+		e   graph.Edge
+		due int
+	}
+	var queue []repush
+	tick := int64(0)
+	del := func(e graph.Edge) {
+		delete(present, e)
+		s = append(s, stream.Event{Op: stream.Delete, Edge: e})
+	}
+	for step := 0; step < steps; step++ {
+		e := graph.NewEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		if len(queue) > 0 && queue[0].due <= step {
+			e = queue[0].e
+			queue = queue[1:]
+		}
+		if !e.IsLoop() && !present[e] {
+			present[e] = true
+			tick++
+			insertedAt[tick] = e
+			s = append(s, stream.Event{Op: stream.Insert, Edge: e})
+		}
+		if old, ok := insertedAt[tick-3]; ok && step%5 == 0 && present[old] {
+			del(old)
+			queue = append(queue, repush{old, step + 4})
+		}
+		if old, ok := insertedAt[tick-w-10]; ok && step%7 == 0 && present[old] {
+			del(old)
+		}
+	}
+	return s
+}
+
+// TestWindowCheckpointPinnedBytes pins a windowed counter's Checkpoint bytes
+// (length and sha256) at three points of a churn history that kills live
+// edges, re-inserts killed ones and expires the rest. With a 40-insertion
+// window the ring grows twice from its first allocation and then wraps
+// several times, so the pending entries a snapshot carries (order, ticks and
+// dead markers) are pinned across the ring's growth and wrap-around. A
+// restored counter must checkpoint to the same bytes.
+func TestWindowCheckpointPinnedBytes(t *testing.T) {
+	const w = 40
+	s := ringChurnStream(41, 24, 560, w)
+	c, err := New(Config{
+		M: 24, Pattern: pattern.Triangle, Rng: xrand.New(11), SkipTemporal: true,
+		Temporal: window.Spec{Window: w},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, tc := range []struct {
+		events, bytes int
+		sha256        string
+	}{
+		{60, 2791, "670615505989f4946f2b8f099d720bbf73e5a6c433db7ce2ae7c5b50dc16b555"},
+		{250, 2293, "58e866c6eb123f8bece0ee97bf83a93709026898619a5f41104f683d1ee1b70c"},
+		{len(s), 2240, "f8c17b78ac7ed23562a0adadb82ead17350c043fd2bcdf3ef73296813f018574"},
+	} {
+		for _, ev := range s[done:tc.events] {
+			c.Process(ev)
+		}
+		done = tc.events
+		blob, err := c.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != tc.bytes || got != tc.sha256 {
+			t.Errorf("after %d events: %d bytes sha256 %s, want %d bytes sha256 %s", tc.events, len(blob), got, tc.bytes, tc.sha256)
+		}
+		snap, err := DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(snap, Config{SkipTemporal: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := r.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(rb) != string(blob) {
+			t.Errorf("after %d events: restored counter checkpoints to different bytes", tc.events)
+		}
 	}
 }
