@@ -94,14 +94,15 @@ policy-smoke:
 # restore refusal, mixed-fleet detection), multi-pattern temporal counting
 # (windowed/decayed counters over several patterns against the exact oracles,
 # in core, served, and through the facade), the facade degenerate
-# bit-identity and windowed-vs-oracle acceptance cells, a short fuzz pass
-# over windowed snapshot decoding, then a 10-second sustained-load soak of a
-# windowed 3-worker fleet that must finish error-free under a generous p99
-# bound.
+# bit-identity and windowed-vs-oracle acceptance cells, short fuzz passes
+# over windowed snapshot decoding and the ring's op histories, then a
+# 10-second sustained-load soak of a windowed 3-worker fleet that must finish
+# error-free under a generous p99 bound.
 window-smoke:
 	$(GO) test -race ./internal/window/ ./internal/exact/
 	$(GO) test -race -run 'Window|Decay|Temporal|EstimateUnknownParam' ./internal/core/ ./internal/serve/ ./internal/cluster/ .
 	$(GO) test -run xxx -fuzz FuzzWindowedSnapshotDecode -fuzztime 30s -fuzzminimizetime 1s .
+	$(GO) test -run xxx -fuzz FuzzRingOps -fuzztime 30s -fuzzminimizetime 1s ./internal/window/
 	$(GO) run ./cmd/wsdload -fleet 3 -window 6000 -rate 20000 -duration 10s -max-p99 250
 
 # Ingestion throughput on the dense-community 4-clique stream: one worker fed

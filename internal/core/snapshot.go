@@ -237,10 +237,10 @@ func (s *Snapshot) Validate() error {
 
 // validateTemporal checks the version-5 temporal fields: a well-formed mode,
 // decay state only under decay, ring state only under a window, and a ring
-// that is internally consistent (ordered ticks, unique live edges, every
-// sampled edge live — expiry removes edges from the reservoir and the ring
-// together, so a reservoir edge missing from the ring would later dodge
-// expiry and corrupt the estimate).
+// that is internally consistent (ordered ticks, nothing that should have
+// expired, unique live edges, every sampled edge live — expiry removes edges
+// from the reservoir and the ring together, so a reservoir edge missing from
+// the ring would later dodge expiry and corrupt the estimate).
 func (s *Snapshot) validateTemporal(items map[graph.Edge]bool) error {
 	spec := window.Spec{Window: s.Window, Halflife: s.Halflife}
 	if err := spec.Validate(); err != nil {
@@ -258,6 +258,12 @@ func (s *Snapshot) validateTemporal(items map[graph.Edge]bool) error {
 	if spec.Window == 0 {
 		return nil
 	}
+	// Expiry keeps at most Window entries pending, each at most Window-1
+	// ticks old. A restored ring holding more would replay the excess as
+	// deletions at the next insertion instead of where they aged out.
+	if int64(len(s.Ring)) > spec.Window {
+		return fmt.Errorf("core: snapshot ring holds %d pending entries, above window %d", len(s.Ring), spec.Window)
+	}
 	live := make(map[graph.Edge]bool, len(s.Ring))
 	prev := int64(0)
 	for _, ent := range s.Ring {
@@ -269,6 +275,11 @@ func (s *Snapshot) validateTemporal(items map[graph.Edge]bool) error {
 			return fmt.Errorf("core: snapshot ring tick %d out of order (prev %d, insertions %d)", ent.At, prev, s.Insertions)
 		}
 		prev = ent.At
+		// 0 <= At <= Insertions here, so the age cannot overflow, even
+		// against Window = math.MaxInt64.
+		if s.Insertions-ent.At >= spec.Window {
+			return fmt.Errorf("core: snapshot ring entry at tick %d expired by insertion %d (window %d)", ent.At, s.Insertions, spec.Window)
+		}
 		if !ent.Dead {
 			if live[e] {
 				return fmt.Errorf("core: snapshot ring lists live edge %v twice", e)

@@ -398,6 +398,47 @@ func TestSnapshotValidateTemporal(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotRejectsStaleRing: a counter expires every entry aged
+// Window ticks before it pushes the next one, so a blob whose ring holds an
+// entry already due to expire, or more pending entries than the window, was
+// never written by a counter and must not decode. A whole-stream-sized
+// window (math.MaxInt64) must not overflow the age check.
+func TestDecodeSnapshotRejectsStaleRing(t *testing.T) {
+	decode := func(s *Snapshot) error {
+		blob, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeSnapshot(blob)
+		return err
+	}
+	snap := func(window int64, ticks ...int64) *Snapshot {
+		s := &Snapshot{
+			Version: 5, M: 10, Pattern: pattern.Triangle, Insertions: 4, Window: window,
+			Items: []SnapshotItem{{U: 1, V: 2, Weight: 1, Rank: 2, Arrival: 1}},
+		}
+		for i, at := range ticks {
+			s.Ring = append(s.Ring, SnapshotRingEntry{U: 1, V: graph.VertexID(2 + i), At: at, Dead: i > 0})
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		s      *Snapshot
+		reject bool
+	}{
+		{"oldest-entry-still-pending", snap(4, 1, 2, 4), false},
+		{"entry-due-to-expire", snap(3, 1, 2, 4), true},
+		{"more-entries-than-window", snap(2, 4, 4, 4), true},
+		{"window-full", snap(3, 4, 4, 4), false},
+		{"max-window", snap(math.MaxInt64, 1, 2, 4), false},
+	} {
+		if err := decode(tc.s); (err != nil) != tc.reject {
+			t.Errorf("%s: DecodeSnapshot err = %v, want rejected %v", tc.name, err, tc.reject)
+		}
+	}
+}
+
 // ringChurnStream builds a feasible windowed history for a window of w
 // insertions: fresh random edges over a small vertex set, a genuine deletion
 // of the edge inserted three ticks earlier on every fifth step (still live in

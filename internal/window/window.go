@@ -142,48 +142,109 @@ type Entry struct {
 // edge), pops aged entries from the head, and marks entries dead when a
 // genuine deletion consumes them first.
 //
-// Entries carry absolute sequence numbers — entries[i] is number base+i —
-// and the membership index maps each live edge to its number, so dropping
-// the expired prefix only advances base and never rewrites the index.
+// Each pushed entry takes the next absolute sequence number. The pending
+// entries, numbers head..tail-1, live in a power-of-two circular buffer at
+// slot seq & (len(buf)-1), with a dead bit per slot beside it. A full buffer
+// doubles, so expiry only advances head and nothing is ever compacted or
+// renumbered. The index keeps the low 32 bits of a live entry's number,
+// which name its slot as long as the buffer holds at most 2^32 entries.
 //
 // The zero Ring is empty and ready to use.
 type Ring struct {
-	entries []Entry
-	head    int
-	base    int64     // sequence number of entries[0]
-	idx     edgeTable // live entries only
+	buf        []ringEntry
+	dead       []uint64  // bit k is set once the entry in slot k is dead
+	head, tail int64     // the pending entries are numbers [head, tail)
+	idx        edgeTable // live entries only
+}
+
+// ringEntry is one buffer slot: an edge and the tick it was inserted at.
+type ringEntry struct {
+	edge graph.Edge
+	at   int64
 }
 
 // Len returns the number of live (non-dead, non-expired) edges.
-func (r *Ring) Len() int { return r.idx.Len() }
+func (r *Ring) Len() int { return r.idx.n }
 
 // Has reports whether e is live in the window.
 func (r *Ring) Has(e graph.Edge) bool {
-	_, ok := r.idx.Get(e)
+	_, _, _, ok := r.probe(e)
 	return ok
+}
+
+// slot returns the buffer slot of entry number seq.
+func (r *Ring) slot(seq int64) int64 { return seq & int64(len(r.buf)-1) }
+
+// deadBit returns the dead mask's word holding slot k's bit, and the bit.
+func (r *Ring) deadBit(k int64) (*uint64, uint64) { return &r.dead[k>>6], 1 << (k & 63) }
+
+func (r *Ring) isDead(k int64) bool {
+	w, bit := r.deadBit(k)
+	return *w&bit != 0
+}
+
+// probe walks e's probe run in the index. It returns e's tag and either the
+// index slot holding e's live entry with that entry's buffer slot (live), or
+// the empty index slot that ends the run.
+func (r *Ring) probe(e graph.Edge) (tag uint32, i uint64, k int64, live bool) {
+	t := &r.idx
+	if t.slots == nil {
+		return 0, 0, 0, false
+	}
+	tag = t.tag(e)
+	for i = t.home(tag); t.slots[i] != 0; i = (i + 1) & t.mask {
+		if s := t.slots[i]; uint32(s>>32) == tag {
+			if k = r.slot(int64(uint32(s))); r.buf[k].edge == e {
+				return tag, i, k, true
+			}
+		}
+	}
+	return tag, i, 0, false
 }
 
 // Push records the insertion of e at tick at. Ticks must be non-decreasing.
 // If e is already live (the caller should have checked Has first), the old
 // entry is marked dead so membership stays single-valued.
 func (r *Ring) Push(e graph.Edge, at int64) {
-	if r.head > 0 && r.head*2 >= len(r.entries) {
-		r.compact()
+	if r.tail-r.head == int64(len(r.buf)) {
+		r.grow()
 	}
-	if old, ok := r.idx.Put(e, r.base+int64(len(r.entries))); ok {
-		r.entries[old-r.base].Dead = true
+	if 2*(r.idx.n+1) > len(r.idx.slots) {
+		r.idx.grow()
 	}
-	r.entries = append(r.entries, Entry{Edge: e, At: at})
+	tag, i, old, live := r.probe(e)
+	if live {
+		w, bit := r.deadBit(old)
+		*w |= bit
+	} else {
+		r.idx.n++
+	}
+	r.idx.slots[i] = uint64(tag)<<32 | uint64(uint32(r.tail))
+	k := r.slot(r.tail)
+	r.buf[k] = ringEntry{edge: e, at: at}
+	w, bit := r.deadBit(k)
+	*w &^= bit
+	r.tail++
 }
 
-// compact drops the expired prefix so the backing slice stays proportional
-// to the pending entry count over arbitrarily long streams. Amortized O(1)
-// per Push: it only runs when at least half the slice is expired.
-func (r *Ring) compact() {
-	n := copy(r.entries, r.entries[r.head:])
-	r.entries = r.entries[:n]
-	r.base += int64(r.head)
-	r.head = 0
+// grow doubles the buffer (allocating the first one on first use) and moves
+// every pending entry, with its dead bit, to its slot in the new buffer.
+func (r *Ring) grow() {
+	if uint64(len(r.buf)) >= 1<<32 {
+		panic("window: ring exceeds 2^32 pending entries")
+	}
+	n := max(2*len(r.buf), minSlots)
+	old := *r
+	r.buf = make([]ringEntry, n)
+	r.dead = make([]uint64, (n+63)/64)
+	for seq := r.head; seq < r.tail; seq++ {
+		k := r.slot(seq)
+		r.buf[k] = old.buf[old.slot(seq)]
+		if old.isDead(old.slot(seq)) {
+			w, bit := r.deadBit(k)
+			*w |= bit
+		}
+	}
 }
 
 // Kill marks the live entry for e dead (a genuine stream deletion consumed
@@ -192,11 +253,13 @@ func (r *Ring) compact() {
 // must then ignore the deletion entirely, or it would subtract instances the
 // windowed estimate no longer counts.
 func (r *Ring) Kill(e graph.Edge) bool {
-	seq, ok := r.idx.Delete(e)
-	if !ok {
+	_, i, k, live := r.probe(e)
+	if !live {
 		return false
 	}
-	r.entries[seq-r.base].Dead = true
+	r.idx.deleteAt(i)
+	w, bit := r.deadBit(k)
+	*w |= bit
 	return true
 }
 
@@ -205,22 +268,17 @@ func (r *Ring) Kill(e graph.Edge) bool {
 // the estimate when the genuine deletion was applied) and the scan continues
 // to the next head. The boolean is false when nothing is left to expire.
 func (r *Ring) ExpireOne(cutoff int64) (graph.Edge, bool) {
-	for r.head < len(r.entries) {
-		ent := r.entries[r.head]
-		if ent.At > cutoff {
+	for ; r.head < r.tail; r.head++ {
+		k := r.slot(r.head)
+		if r.buf[k].at > cutoff {
 			break
 		}
-		r.head++
-		if ent.Dead {
-			continue
+		if !r.isDead(k) {
+			_, i, _, _ := r.probe(r.buf[k].edge)
+			r.idx.deleteAt(i)
+			r.head++
+			return r.buf[k].edge, true
 		}
-		r.idx.Delete(ent.Edge)
-		return ent.Edge, true
-	}
-	if r.head > 0 && r.head == len(r.entries) {
-		r.entries = r.entries[:0]
-		r.base += int64(r.head)
-		r.head = 0
 	}
 	return graph.Edge{}, false
 }
@@ -229,7 +287,10 @@ func (r *Ring) ExpireOne(cutoff int64) (graph.Edge, bool) {
 // included — exactly the state a snapshot must carry to resume
 // bit-identically.
 func (r *Ring) Entries() []Entry {
-	out := make([]Entry, len(r.entries)-r.head)
-	copy(out, r.entries[r.head:])
+	out := make([]Entry, 0, r.tail-r.head)
+	for seq := r.head; seq < r.tail; seq++ {
+		k := r.slot(seq)
+		out = append(out, Entry{Edge: r.buf[k].edge, At: r.buf[k].at, Dead: r.isDead(k)})
+	}
 	return out
 }

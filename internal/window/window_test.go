@@ -270,3 +270,165 @@ func deadCount(entries []Entry) int {
 	}
 	return n
 }
+
+// opEdge maps a byte to one of 64 edges between {0..7} and {8..15}, a
+// universe small enough that random ops keep re-pushing and killing the
+// same edges.
+func opEdge(b byte) graph.Edge {
+	return graph.NewEdge(graph.VertexID(b&7), graph.VertexID(8+(b>>3)&7))
+}
+
+// runRingOps turns data into Push/Kill/ExpireOne calls, two bytes per op
+// (the op, then its edge or expiry age), and applies each to r and to a
+// ringModel. After every op, Has of every edge in the universe, Len and the
+// pending entries must match the model, every expiry must pop the model's
+// edges in its order, and the index must pass checkTable.
+func runRingOps(t *testing.T, r *Ring, data []byte) {
+	t.Helper()
+	var m ringModel
+	tick := int64(0)
+	for k := 0; k+1 < len(data); k += 2 {
+		op, arg := data[k]%4, data[k+1]
+		switch op {
+		case 0, 1:
+			e := opEdge(arg)
+			if m.has(e) {
+				continue // the counter never double-pushes a live edge
+			}
+			tick++
+			r.Push(e, tick)
+			m.push(e, tick)
+		case 2:
+			e := opEdge(arg)
+			if got, want := r.Kill(e), m.kill(e); got != want {
+				t.Fatalf("op %d: Kill(%v) = %v, model %v", k/2, e, got, want)
+			}
+		default:
+			cutoff := tick - int64(arg)
+			want := m.expire(cutoff)
+			for i := 0; ; i++ {
+				e, ok := r.ExpireOne(cutoff)
+				if ok != (i < len(want)) {
+					t.Fatalf("op %d: ExpireOne(%d) call %d ok = %v, model pops %v", k/2, cutoff, i, ok, want)
+				}
+				if !ok {
+					break
+				}
+				if e != want[i] {
+					t.Fatalf("op %d: ExpireOne(%d) popped %v, model %v", k/2, cutoff, e, want[i])
+				}
+			}
+		}
+		live := 0
+		for b := 0; b < 64; b++ {
+			e := opEdge(byte(b))
+			if r.Has(e) != m.has(e) {
+				t.Fatalf("op %d: Has(%v) = %v, model %v", k/2, e, r.Has(e), m.has(e))
+			}
+			if m.has(e) {
+				live++
+			}
+		}
+		if r.Len() != live {
+			t.Fatalf("op %d: Len %d, model %d", k/2, r.Len(), live)
+		}
+		checkTable(t, r)
+		got := r.Entries()
+		if len(got) != len(m.entries) {
+			t.Fatalf("op %d: %d pending entries, model %d", k/2, len(got), len(m.entries))
+		}
+		for i := range got {
+			if got[i] != m.entries[i] {
+				t.Fatalf("op %d: Entries()[%d] = %+v, model %+v", k/2, i, got[i], m.entries[i])
+			}
+		}
+	}
+}
+
+// FuzzRingOps runs arbitrary op histories against the linear-scan model. An
+// odd first byte starts the ring's sequence numbers just below 2^32, so the
+// index's 32-bit sequence fields wrap mid-history.
+func FuzzRingOps(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 0, 1, 9, 0, 18, 2, 9, 0, 9, 3, 1, 3, 0})
+	f.Add([]byte{0, 0, 5, 0, 5, 1, 5, 2, 5, 3, 6, 2, 3, 1, 4, 2, 7, 0})
+	seed := make([]byte, 600)
+	rand.New(rand.NewSource(3)).Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		var r Ring
+		if len(data) > 0 && data[0]&1 == 1 {
+			r.head, r.tail = 1<<32-20, 1<<32-20
+		}
+		runRingOps(t, &r, data)
+	})
+}
+
+// TestRingSequenceWrap32 starts a ring's sequence numbers just below 2^32
+// and runs a long random history against the model: the index stores only
+// the low 32 bits of each number, so after the wrap every live entry,
+// numbered above 2^32, is found through a small stored value, across several
+// ring growths.
+func TestRingSequenceWrap32(t *testing.T) {
+	const start = 1<<32 - 37
+	data := make([]byte, 6000)
+	rand.New(rand.NewSource(11)).Read(data)
+	r := Ring{head: start, tail: start}
+	runRingOps(t, &r, data)
+	if r.tail <= 1<<32+200 || len(r.buf) < 8*minSlots {
+		t.Fatalf("history too short: tail %d (start %d), buffer %d", r.tail, int64(start), len(r.buf))
+	}
+	checkTable(t, &r)
+}
+
+// TestRingGrowDeadStraddlingWrap fills a 16-entry buffer whose entries run
+// from 2^32-8 to 2^32+7, so the buffer's wrap point and the 32-bit sequence
+// wrap coincide, kills the four entries around that point, and grows the
+// buffer with one more push. The dead bits must move with their entries,
+// the live edges must keep their numbers, and expiry must skip exactly the
+// killed entries.
+func TestRingGrowDeadStraddlingWrap(t *testing.T) {
+	const start = 1<<32 - 8
+	r := Ring{head: start, tail: start}
+	edge := func(i int) graph.Edge { return graph.NewEdge(graph.VertexID(i), graph.VertexID(i+100)) }
+	for i := 0; i < minSlots; i++ {
+		r.Push(edge(i), int64(i+1))
+	}
+	if len(r.buf) != minSlots || r.slot(r.head) != 8 {
+		t.Fatalf("fixture: buffer %d, head slot %d; want %d, 8", len(r.buf), r.slot(r.head), minSlots)
+	}
+	killed := map[int]bool{6: true, 7: true, 8: true, 9: true} // numbers 2^32-2 .. 2^32+1
+	for i := range killed {
+		if !r.Kill(edge(i)) {
+			t.Fatalf("Kill(%v) = false", edge(i))
+		}
+	}
+	r.Push(edge(16), 17)
+	if len(r.buf) != 2*minSlots {
+		t.Fatalf("buffer %d after the 17th push, want %d", len(r.buf), 2*minSlots)
+	}
+	checkTable(t, &r)
+	got := r.Entries()
+	for i := 0; i <= 16; i++ {
+		if want := (Entry{Edge: edge(i), At: int64(i + 1), Dead: killed[i]}); got[i] != want {
+			t.Fatalf("Entries()[%d] = %+v, want %+v", i, got[i], want)
+		}
+		seq, ok := liveSeq(t, &r, edge(i))
+		if ok == killed[i] || (ok && seq != start+int64(i)) {
+			t.Fatalf("live entry of %v = %d,%v, want %d,%v", edge(i), seq, ok, start+int64(i), !killed[i])
+		}
+	}
+	for i := 0; i <= 16; i++ {
+		if killed[i] {
+			continue
+		}
+		if e, ok := r.ExpireOne(17); !ok || e != edge(i) {
+			t.Fatalf("ExpireOne popped %v,%v, want %v", e, ok, edge(i))
+		}
+	}
+	if _, ok := r.ExpireOne(17); ok || r.Len() != 0 || r.head != r.tail {
+		t.Fatalf("ring not empty after expiring everything: Len %d, head %d, tail %d", r.Len(), r.head, r.tail)
+	}
+}
