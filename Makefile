@@ -59,14 +59,19 @@ fleet-smoke:
 # The enumeration layer under the race detector: the differential
 # property/fuzz suite (the mark-array/merge clique intersection must emit
 # the identical instance multiset as the naive probe-based reference across
-# all five kinds, plain and Live views, random histories), the reservoir
-# intersection regression tests and its op-history suite against a map
-# reference (sorted rows, degrees, heap order, the adjacency arena's block
-# layout and fragmentation bound), a short fuzz pass, then the
+# all five kinds, plain and Live views, random histories), the tests of the
+# one enumeration entry point MultiCompleter.ForEach (multi-kind passes,
+# clique sinks beside wedge and 4-cycle callbacks, sharer scratch, its
+# allocation guards) and of the Kind.*Completions conveniences, the
+# reservoir intersection regression tests and its op-history suite against
+# a map reference (sorted rows, degrees, heap order, the adjacency arena's
+# block layout and fragmentation bound), a short fuzz pass, then the
 # dense-community core cell end to end with -race on — the workload whose
-# throughput the intersection layer owns.
+# throughput the intersection layer owns. The pooled conveniences' alloc
+# guard skips itself under -race (sync.Pool drops items there); `make
+# test` runs it.
 enum-smoke:
-	$(GO) test -race -run 'Differential|PairAmong|Common|AdjacentIn|ReservoirOps' ./internal/pattern/ ./internal/reservoir/
+	$(GO) test -race -run 'Differential|PairAmong|Common|AdjacentIn|ReservoirOps|MultiCompleter|Completions' ./internal/pattern/ ./internal/reservoir/
 	$(GO) test -run xxx -fuzz FuzzDifferentialEnumeration -fuzztime 20s -fuzzminimizetime 1s ./internal/pattern/
 	$(GO) run -race ./cmd/wsdbench -exp suite -only core/dense -trials 1
 

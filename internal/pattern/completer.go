@@ -6,18 +6,20 @@ import (
 	"repro/internal/graph"
 )
 
-// ItemView extends View for graphs whose edges carry an opaque per-edge
-// payload (the sampled reservoir's *reservoir.Item). Enumeration running
-// against an ItemView hands each instance's payloads to the callback alongside
-// its edges, so estimators can read per-edge state (weights, arrival indexes)
-// without a second hash lookup per edge — the dominant cost of the completion
-// hot path for dense patterns.
+// ItemView is the read-only graph interface enumeration runs against. Its
+// edges carry an opaque per-edge payload (the sampled reservoir's
+// *reservoir.Item; nil for the exact dynamic graph, *graph.AdjSet). Enumeration hands each instance's
+// payloads to the callback alongside its edges, so estimators can read
+// per-edge state (weights, arrival indexes) without a second hash lookup per
+// edge — the dominant cost of the completion hot path for dense patterns.
 //
 // Payloads must be pointer-shaped (a pointer or nil): storing one in an `any`
 // must not allocate, or the zero-allocation ingest guarantees break.
 type ItemView interface {
-	View
-	// ProbeEdge is HasEdge returning the edge's payload as well.
+	// Degree returns the number of neighbors of u.
+	Degree(u graph.VertexID) int
+	// ProbeEdge reports whether the undirected edge {u, v} is present, with
+	// its payload.
 	ProbeEdge(u, v graph.VertexID) (payload any, ok bool)
 	// ForEachNeighborItem calls fn for each neighbor v of u with the payload
 	// of edge {u, v}, until fn returns false.
@@ -88,13 +90,11 @@ var (
 	bitsetMaxCommon = 2048
 )
 
-// Completer enumerates pattern completions with reusable scratch: the
+// completer is one kind's enumeration scratch inside a MultiCompleter: the
 // neighbor buffers, the instance slices, and every internal iteration closure
-// are allocated once at construction and reused across calls, making ForEach
-// allocation-free on the per-event hot path. Each single-pass counter owns one
-// Completer (they are cheap); a Completer is not safe for concurrent use and
-// not reentrant — the callback must not call back into the same Completer.
-type Completer struct {
+// are allocated once at construction and reused across calls, keeping
+// MultiCompleter.ForEach allocation-free on the per-event hot path.
+type completer struct {
 	kind Kind
 
 	// Instance scratch handed to the callback, reused across instances.
@@ -122,7 +122,7 @@ type Completer struct {
 	// Per-call state read by the prebound closures.
 	view   ItemView
 	isect  IntersectView // non-nil when view supports sorted intersection
-	sink   CliqueSink    // non-nil on the MultiCompleter.ForEachWithSink path
+	sink   CliqueSink    // non-nil when clique instances go to a sink
 	a, b   graph.VertexID
 	hi     graph.VertexID // probe side while collecting common neighbors
 	hiIsB  bool           // whether hi == b (payload ordering)
@@ -132,7 +132,6 @@ type Completer struct {
 	curI   int            // 4-clique/row build: outer common index
 	fn     func(others []graph.Edge, payloads []any) bool
 	stop   bool
-	adapt  plainAdapter // wraps non-ItemView views
 	shared func(v graph.VertexID, payload any) bool
 	inner  func(v graph.VertexID, payload any) bool
 	// Intersection-path closures, prebound like shared/inner.
@@ -151,30 +150,24 @@ type Completer struct {
 	boundOnPair func(i, j int, payload any) bool
 }
 
-// NewCompleter returns a reusable enumerator for pattern k.
-func NewCompleter(k Kind) *Completer {
+func newCompleter(k Kind) *completer {
 	h := k.Size()
-	c := &Completer{
+	c := &completer{
 		kind:     k,
 		others:   make([]graph.Edge, h-1),
 		payloads: make([]any, h-1),
 	}
-	c.adapt.init()
 	// shared serves the single-level iterations: common-neighbor collection
 	// for the clique patterns, apex iteration for wedges, and the outer path
 	// iteration for 4-cycles. inner is the 4-cycle's second level.
-	c.shared = func(v graph.VertexID, payload any) bool {
-		switch c.kind {
-		case Wedge:
-			return c.visitWedge(v, payload)
-		case FourCycle:
-			return c.visitCycleOuter(v, payload)
-		default:
-			return c.collectCommon(v, payload)
-		}
-	}
-	c.inner = func(v graph.VertexID, payload any) bool {
-		return c.visitCycleInner(v, payload)
+	switch k {
+	case Wedge:
+		c.shared = c.visitWedge
+	case FourCycle:
+		c.shared = c.visitCycleOuter
+		c.inner = c.visitCycleInner
+	default:
+		c.shared = c.collectCommon
 	}
 	c.collectMerge = func(w graph.VertexID, payA, payB any) bool {
 		c.common = append(c.common, w)
@@ -236,55 +229,8 @@ func NewCompleter(k Kind) *Completer {
 	return c
 }
 
-// Kind returns the pattern this completer enumerates.
-func (c *Completer) Kind() Kind { return c.kind }
-
-// ForEach enumerates the instances of the completer's pattern that edge
-// {a, b} completes against v, exactly as Kind.ForEachCompletion, with one
-// addition: when v implements ItemView, payloads[i] is the payload of
-// others[i]; otherwise every payload is nil. Both slices are reused across
-// invocations — fn must not retain them.
-func (c *Completer) ForEach(v View, a, b graph.VertexID, fn func(others []graph.Edge, payloads []any) bool) {
-	iv, ok := v.(ItemView)
-	if !ok {
-		c.adapt.View = v
-		iv = &c.adapt
-	} else if is, ok := v.(IntersectView); ok {
-		c.isect = is
-	}
-	c.view, c.a, c.b, c.fn, c.stop = iv, a, b, fn, false
-	switch c.kind {
-	case Wedge:
-		c.apex = a
-		iv.ForEachNeighborItem(a, c.shared)
-		if !c.stop {
-			c.apex = b
-			iv.ForEachNeighborItem(b, c.shared)
-		}
-	case FourCycle:
-		iv.ForEachNeighborItem(a, c.shared)
-	case Triangle, FourClique, FiveClique:
-		c.collectAndEmit(iv, a, b)
-	default:
-		panic("pattern: unknown kind")
-	}
-	// Drop references so retained Completers don't pin the view or callback.
-	c.view, c.isect, c.fn = nil, nil, nil
-	c.adapt.View = nil
-}
-
-// Count returns the number of instances completed by {a, b}, allocation-free.
-func (c *Completer) Count(v View, a, b graph.VertexID) int {
-	n := 0
-	c.ForEach(v, a, b, func([]graph.Edge, []any) bool {
-		n++
-		return true
-	})
-	return n
-}
-
 // emit hands the current instance scratch to the callback.
-func (c *Completer) emit(n int) bool {
+func (c *completer) emit(n int) bool {
 	if !c.fn(c.others[:n], c.payloads[:n]) {
 		c.stop = true
 		return false
@@ -292,7 +238,7 @@ func (c *Completer) emit(n int) bool {
 	return true
 }
 
-func (c *Completer) visitWedge(x graph.VertexID, payload any) bool {
+func (c *completer) visitWedge(x graph.VertexID, payload any) bool {
 	// The wedge completed through apex's neighbor x; the opposite endpoint is
 	// excluded (that would be the event edge itself).
 	if (c.apex == c.a && x == c.b) || (c.apex == c.b && x == c.a) {
@@ -303,7 +249,7 @@ func (c *Completer) visitWedge(x graph.VertexID, payload any) bool {
 	return c.emit(1)
 }
 
-func (c *Completer) visitCycleOuter(x graph.VertexID, payload any) bool {
+func (c *completer) visitCycleOuter(x graph.VertexID, payload any) bool {
 	if x == c.b {
 		return true
 	}
@@ -312,7 +258,7 @@ func (c *Completer) visitCycleOuter(x graph.VertexID, payload any) bool {
 	return !c.stop
 }
 
-func (c *Completer) visitCycleInner(y graph.VertexID, payload any) bool {
+func (c *completer) visitCycleInner(y graph.VertexID, payload any) bool {
 	// A 4-cycle completed by (a, b) is a path a - x - y - b of length 3: the
 	// other edges are (a, x), (x, y), (y, b).
 	if y == c.a || y == c.b || y == c.x {
@@ -331,7 +277,7 @@ func (c *Completer) visitCycleInner(y graph.VertexID, payload any) bool {
 // collectCommon gathers the common neighbors of the event edge, recording the
 // payloads of both connecting edges: the iterated side's payload arrives as
 // the argument, the probed side's from ProbeEdge.
-func (c *Completer) collectCommon(w graph.VertexID, payload any) bool {
+func (c *completer) collectCommon(w graph.VertexID, payload any) bool {
 	if w == c.a || w == c.b {
 		return true
 	}
@@ -350,42 +296,32 @@ func (c *Completer) collectCommon(w graph.VertexID, payload any) bool {
 	return true
 }
 
-// collectAndEmit runs the clique patterns: collect the common neighborhood of
-// {a, b} (iterating the smaller side, probing the larger), then emit each
-// adjacent single/pair/triple as a triangle/4-clique/5-clique instance.
-// Collection runs to completion even when fn stops early; the clique callers
-// (estimators, counting) never stop early, so the waste is theoretical.
-func (c *Completer) collectAndEmit(iv ItemView, a, b graph.VertexID) {
-	c.collect(iv, a, b)
-	c.emitCliques(iv, a, b)
-}
-
 // collect fills the common-neighborhood scratch (common, payA, payB) for the
-// event edge {a, b}: the collection phase of every clique pattern, split out
-// so a MultiCompleter can run it once and share the result across the clique
+// event edge {a, b}: the collection phase of every clique pattern, which
+// MultiCompleter.ForEach runs once per call and shares across the clique
 // kinds in its set. Against an IntersectView the collection is a single merge
 // of the two sorted endpoint lists and yields common in ascending vertex-ID
 // order; the fallback iterates the smaller side probing the larger.
-func (c *Completer) collect(iv ItemView, a, b graph.VertexID) {
+func (c *completer) collect() {
 	c.common = c.common[:0]
 	c.payA = c.payA[:0]
 	c.payB = c.payB[:0]
 	if c.isect != nil {
-		c.isect.ForEachCommonItem(a, b, c.collectMerge)
+		c.isect.ForEachCommonItem(c.a, c.b, c.collectMerge)
 		return
 	}
-	lo, hi := a, b
-	if iv.Degree(lo) > iv.Degree(hi) {
+	lo, hi := c.a, c.b
+	if c.view.Degree(lo) > c.view.Degree(hi) {
 		lo, hi = hi, lo
 	}
-	c.hi, c.hiIsB = hi, hi == b
-	iv.ForEachNeighborItem(lo, c.shared)
+	c.hi, c.hiIsB = hi, hi == c.b
+	c.view.ForEachNeighborItem(lo, c.shared)
 }
 
 // emitCliques emits the completer's clique instances from the collected
-// common-neighborhood scratch, which may alias another Completer's collection
-// (the MultiCompleter sharing path).
-func (c *Completer) emitCliques(iv ItemView, a, b graph.VertexID) {
+// common-neighborhood scratch, which may alias another completer's
+// collection.
+func (c *completer) emitCliques() {
 	if c.isect != nil {
 		c.emitCliquesIntersect()
 		return
@@ -397,7 +333,7 @@ func (c *Completer) emitCliques(iv ItemView, a, b graph.VertexID) {
 		for i := 0; i < len(c.common); i++ {
 			for j := i + 1; j < len(c.common); j++ {
 				w, x := c.common[i], c.common[j]
-				pwx, ok := iv.ProbeEdge(w, x)
+				pwx, ok := c.view.ProbeEdge(w, x)
 				if !ok {
 					continue
 				}
@@ -410,16 +346,16 @@ func (c *Completer) emitCliques(iv ItemView, a, b graph.VertexID) {
 	case FiveClique:
 		for i := 0; i < len(c.common); i++ {
 			for j := i + 1; j < len(c.common); j++ {
-				pij, ok := iv.ProbeEdge(c.common[i], c.common[j])
+				pij, ok := c.view.ProbeEdge(c.common[i], c.common[j])
 				if !ok {
 					continue
 				}
 				for k := j + 1; k < len(c.common); k++ {
-					pik, ok := iv.ProbeEdge(c.common[i], c.common[k])
+					pik, ok := c.view.ProbeEdge(c.common[i], c.common[k])
 					if !ok {
 						continue
 					}
-					pjk, ok := iv.ProbeEdge(c.common[j], c.common[k])
+					pjk, ok := c.view.ProbeEdge(c.common[j], c.common[k])
 					if !ok {
 						continue
 					}
@@ -438,7 +374,7 @@ func (c *Completer) emitCliques(iv ItemView, a, b graph.VertexID) {
 // from intersecting precomputed rows (optionally as dense bitsets). Instances
 // go to the sink's typed callbacks when one is installed, otherwise to the
 // generic fn.
-func (c *Completer) emitCliquesIntersect() {
+func (c *completer) emitCliquesIntersect() {
 	n := len(c.common)
 	switch c.kind {
 	case Triangle:
@@ -482,7 +418,7 @@ func (c *Completer) emitCliquesIntersect() {
 
 // emitTriangles runs the (collection-order) linear triangle emission into the
 // generic callback.
-func (c *Completer) emitTriangles() {
+func (c *completer) emitTriangles() {
 	for i, w := range c.common {
 		c.others[0], c.payloads[0] = graph.NewEdge(c.a, w), c.payA[i]
 		c.others[1], c.payloads[1] = graph.NewEdge(c.b, w), c.payB[i]
@@ -496,7 +432,7 @@ func (c *Completer) emitTriangles() {
 // adjacent to common[i] with the cross-edge payloads. When n is inside the
 // bitset window it also builds the symmetric adjacency masks the triple loop
 // ANDs together.
-func (c *Completer) buildRows(n int) {
+func (c *completer) buildRows(n int) {
 	if cap(c.rowStart) < n+1 {
 		c.rowStart = make([]int32, n+1)
 	}
@@ -535,7 +471,7 @@ func (c *Completer) buildRows(n int) {
 // suffix past j with row j — two sorted index lists — either by two-pointer
 // merge or, inside the bitset window, by ANDing adjacency masks and walking
 // the set bits with monotone payload cursors.
-func (c *Completer) emitTriples(n int) {
+func (c *completer) emitTriples(n int) {
 	for i := 0; i+2 < n; i++ {
 		ri1 := int(c.rowStart[i+1])
 		for p := int(c.rowStart[i]); p < ri1; p++ {
@@ -572,7 +508,7 @@ func (c *Completer) emitTriples(n int) {
 // every set bit past j in masks[i] AND masks[j] is a k completing the
 // 5-clique; the payloads come from monotone cursors over rows i and j, which
 // the mask guarantees contain k.
-func (c *Completer) emitTriplesBits(i, j, p int, payIJ any) bool {
+func (c *completer) emitTriplesBits(i, j, p int, payIJ any) bool {
 	w := c.maskW
 	bi, bj := i*w, j*w
 	x, y := p+1, int(c.rowStart[j])
@@ -604,7 +540,7 @@ func (c *Completer) emitTriplesBits(i, j, p int, payIJ any) bool {
 
 // emitTriple delivers one 5-clique instance to the sink or the generic
 // callback, returning false when enumeration must stop.
-func (c *Completer) emitTriple(i, j, k int, payIJ, payIK, payJK any) bool {
+func (c *completer) emitTriple(i, j, k int, payIJ, payIK, payJK any) bool {
 	if c.sink != nil {
 		if !c.sink.OnTriple(i, j, k, payIJ, payIK, payJK) {
 			c.stop = true
@@ -623,29 +559,4 @@ func (c *Completer) emitTriple(i, j, k int, payIJ, payIK, payJK any) bool {
 	c.others[7], c.payloads[7] = graph.NewEdge(w, y), payIK
 	c.others[8], c.payloads[8] = graph.NewEdge(x, y), payJK
 	return c.emit(9)
-}
-
-// plainAdapter lifts a plain View to ItemView with nil payloads, so the
-// enumerators are written once against ItemView. The neighbor closure is
-// prebound; the current callback is saved and restored around each iteration
-// so nested iterations (the 4-cycle) do not clobber each other.
-type plainAdapter struct {
-	View
-	fn    func(v graph.VertexID, payload any) bool
-	visit func(v graph.VertexID) bool
-}
-
-func (p *plainAdapter) init() {
-	p.visit = func(v graph.VertexID) bool { return p.fn(v, nil) }
-}
-
-func (p *plainAdapter) ProbeEdge(u, v graph.VertexID) (any, bool) {
-	return nil, p.HasEdge(u, v)
-}
-
-func (p *plainAdapter) ForEachNeighborItem(u graph.VertexID, fn func(v graph.VertexID, payload any) bool) {
-	prev := p.fn
-	p.fn = fn
-	p.View.ForEachNeighbor(u, p.visit)
-	p.fn = prev
 }

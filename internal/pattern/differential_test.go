@@ -13,7 +13,7 @@ import (
 )
 
 // itemOnlyView hides a reservoir view's IntersectView methods, forcing the
-// Completer onto the probe-based fallback path — the naive reference
+// enumeration onto the probe-based fallback path — the naive reference
 // enumeration the merge/bitset path must match instance-for-instance.
 type itemOnlyView struct {
 	ItemView
@@ -30,12 +30,12 @@ func instKey(edges []graph.Edge, pays []any) string {
 	return sb.String()
 }
 
-func collectInstances(c *Completer, v View, a, b graph.VertexID) []string {
+func collectInstances(m *MultiCompleter, v ItemView, a, b graph.VertexID) []string {
 	var out []string
-	c.ForEach(v, a, b, func(others []graph.Edge, pays []any) bool {
+	m.ForEach(v, a, b, []func([]graph.Edge, []any) bool{func(others []graph.Edge, pays []any) bool {
 		out = append(out, instKey(others, pays))
 		return true
-	})
+	}}, nil)
 	sort.Strings(out)
 	return out
 }
@@ -100,34 +100,40 @@ func (s *recordSink) OnTriple(i, j, k int, payIJ, payIK, payJK any) bool {
 // checkDifferential compares, for one event edge and view, the merge/bitset
 // enumeration against the probe-based reference for every kind, and the
 // CliqueSink fast path against the generic path for the clique kinds.
-func checkDifferential(t *testing.T, comps map[Kind]*Completer, view View, a, b graph.VertexID, label string) {
+func checkDifferential(t *testing.T, comps map[Kind]*MultiCompleter, view ItemView, a, b graph.VertexID, label string) {
 	t.Helper()
-	iv := view.(ItemView)
 	for _, k := range Kinds() {
-		c := comps[k]
-		fast := collectInstances(c, view, a, b)
-		naive := collectInstances(c, itemOnlyView{iv}, a, b)
+		m := comps[k]
+		fast := collectInstances(m, view, a, b)
+		naive := collectInstances(m, itemOnlyView{view}, a, b)
 		if !reflect.DeepEqual(fast, naive) {
 			t.Fatalf("%s %s (%d,%d): merge path %d instances, probe reference %d\nmerge: %v\nprobe: %v",
 				label, k, a, b, len(fast), len(naive), fast, naive)
 		}
-		if !isClique(k) {
+		if !k.IsClique() {
 			continue
 		}
-		m, err := NewMultiCompleter([]Kind{k})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sink := &recordSink{t: t, a: a, b: b}
-		if !m.ForEachWithSink(view, a, b, make([]func([]graph.Edge, []any) bool, 1), sink) {
-			t.Fatalf("%s %s: ForEachWithSink unexpectedly unsupported", label, k)
-		}
+		m.ForEach(view, a, b, make([]func([]graph.Edge, []any) bool, 1), sink)
 		sort.Strings(sink.insts)
 		if !reflect.DeepEqual(sink.insts, fast) {
 			t.Fatalf("%s %s (%d,%d): sink path %d instances, generic %d\nsink: %v\ngeneric: %v",
 				label, k, a, b, len(sink.insts), len(fast), sink.insts, fast)
 		}
 	}
+}
+
+// oneKindCompleters returns a one-kind MultiCompleter per pattern kind.
+func oneKindCompleters(t testing.TB) map[Kind]*MultiCompleter {
+	comps := map[Kind]*MultiCompleter{}
+	for _, k := range Kinds() {
+		m, err := NewMultiCompleter([]Kind{k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps[k] = m
+	}
+	return comps
 }
 
 // runDifferentialHistory drives a random insert/delete/tag history on a real
@@ -137,10 +143,7 @@ func runDifferentialHistory(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	res := reservoir.New(512)
 	present := map[graph.Edge]bool{}
-	comps := map[Kind]*Completer{}
-	for _, k := range Kinds() {
-		comps[k] = NewCompleter(k)
-	}
+	comps := oneKindCompleters(t)
 	const n = 28 // small dense vertex set: every kind gets instances
 	for step := 0; step < 2500; step++ {
 		u := graph.VertexID(rng.Intn(n))
@@ -204,10 +207,7 @@ func FuzzDifferentialEnumeration(f *testing.F) {
 	f.Add([]byte{7, 8, 0, 8, 9, 0, 7, 9, 0, 7, 8, 2, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		res := reservoir.New(128)
-		comps := map[Kind]*Completer{}
-		for _, k := range Kinds() {
-			comps[k] = NewCompleter(k)
-		}
+		comps := oneKindCompleters(t)
 		const n = 12
 		for i := 0; i+2 < len(tape); i += 3 {
 			u := graph.VertexID(tape[i] % n)

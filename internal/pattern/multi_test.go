@@ -81,7 +81,7 @@ func TestMultiCompleterMatchesSingleCompleters(t *testing.T) {
 					return true
 				}
 			}
-			mc.ForEach(g, a, b, fns)
+			mc.ForEach(g, a, b, fns, nil)
 			for i, k := range kinds {
 				want := canon(collect(k, g, a, b))
 				got[i] = canon(got[i])
@@ -120,7 +120,7 @@ func TestMultiCompleterEarlyStopIsPerKind(t *testing.T) {
 		func([]graph.Edge, []any) bool { wedges++; return false }, // stop after 1
 		func([]graph.Edge, []any) bool { triangles++; return true },
 		func([]graph.Edge, []any) bool { cliques++; return true },
-	})
+	}, nil)
 	if wedges != 1 {
 		t.Fatalf("stopped wedge enumeration saw %d instances, want 1", wedges)
 	}
@@ -152,35 +152,116 @@ func TestMultiCompleterNilCallbackSkipsKind(t *testing.T) {
 		mc.ForEach(g, a, b, []func([]graph.Edge, []any) bool{
 			nil, // triangle (the first clique kind) skipped: 4-clique must collect itself
 			func([]graph.Edge, []any) bool { n++; return true },
-		})
+		}, nil)
 		if want := FourClique.CountCompletions(g, a, b); n != want {
 			t.Fatalf("edge (%d,%d): 4-cliques with triangle skipped = %d, want %d", a, b, n, want)
 		}
 	}
 }
 
-// TestMultiCompleterCounts exercises the convenience counter.
+// countingFns returns one counting callback per kind, tallying into counts.
+func countingFns(counts []int) []func([]graph.Edge, []any) bool {
+	fns := make([]func([]graph.Edge, []any) bool, len(counts))
+	for i := range fns {
+		fns[i] = func([]graph.Edge, []any) bool { counts[i]++; return true }
+	}
+	return fns
+}
+
+// TestMultiCompleterCounts: one pass over all five kinds counts, per kind,
+// what CountCompletions counts, on a plain graph and on a reservoir.
 func TestMultiCompleterCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := randomGraph(25, 140, rng)
 	kinds := []Kind{Wedge, Triangle, FourCycle, FourClique, FiveClique}
 	mc, err := NewMultiCompleter(kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 20; trial++ {
-		a := graph.VertexID(rng.Intn(25))
-		b := graph.VertexID(rng.Intn(25))
-		if a == b {
-			continue
-		}
-		got := mc.Counts(g, a, b, nil)
-		for i, k := range kinds {
-			if want := k.CountCompletions(g, a, b); got[i] != want {
-				t.Fatalf("edge (%d,%d): Counts[%s] = %d, want %d", a, b, k, got[i], want)
+	counts := make([]int, len(kinds))
+	fns := countingFns(counts)
+	for _, v := range []ItemView{randomGraph(25, 140, rng), reservoirGraph(25, 140, rng)} {
+		for trial := 0; trial < 20; trial++ {
+			a := graph.VertexID(rng.Intn(25))
+			b := graph.VertexID(rng.Intn(25))
+			if a == b {
+				continue
+			}
+			clear(counts)
+			mc.ForEach(v, a, b, fns, nil)
+			for i, k := range kinds {
+				if want := k.CountCompletions(v, a, b); counts[i] != want {
+					t.Fatalf("%T edge (%d,%d): %s count = %d, want %d", v, a, b, k, counts[i], want)
+				}
 			}
 		}
 	}
+}
+
+// countSink tallies the instances a CliqueSink receives per clique kind.
+type countSink struct{ commons, tri, four, five int }
+
+func (s *countSink) OnCommon(int, graph.VertexID, any, any)     { s.commons++ }
+func (s *countSink) OnTriangle(int) bool                        { s.tri++; return true }
+func (s *countSink) OnPair(int, int, any) bool                  { s.four++; return true }
+func (s *countSink) OnTriple(int, int, int, any, any, any) bool { s.five++; return true }
+
+// TestMultiCompleterSinkMixedKinds: one pass over all five kinds with a sink
+// on a reservoir delivers the wedge and 4-cycle instances to fns and every
+// clique kind's instances to the sink, each kind's count equal to
+// CountCompletions, and fires OnCommon once per common neighbor.
+func TestMultiCompleterSinkMixedKinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	res := reservoirGraph(22, 150, rng)
+	kinds := []Kind{Triangle, Wedge, FiveClique, FourCycle, FourClique}
+	mc, err := NewMultiCompleter(kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, len(kinds))
+	fns := countingFns(counts)
+	for trial := 0; trial < 40; trial++ {
+		a := graph.VertexID(rng.Intn(22))
+		b := graph.VertexID(rng.Intn(22))
+		if a == b {
+			continue
+		}
+		clear(counts)
+		var sink countSink
+		mc.ForEach(res, a, b, fns, &sink)
+		got := map[Kind]int{
+			Wedge: counts[1], FourCycle: counts[3],
+			Triangle: sink.tri, FourClique: sink.four, FiveClique: sink.five,
+		}
+		for _, i := range []int{0, 2, 4} {
+			if counts[i] != 0 {
+				t.Fatalf("edge (%d,%d): %s instances reached fns despite the sink", a, b, kinds[i])
+			}
+		}
+		for k, n := range got {
+			if want := k.CountCompletions(res, a, b); n != want {
+				t.Fatalf("edge (%d,%d): %s count = %d, want %d", a, b, k, n, want)
+			}
+		}
+		if want := Triangle.CountCompletions(res, a, b); sink.commons != want {
+			t.Fatalf("edge (%d,%d): OnCommon fired %d times, want %d", a, b, sink.commons, want)
+		}
+	}
+}
+
+// TestMultiCompleterSinkNeedsIntersectView: a sink over a view without
+// sorted intersection is a caller bug and panics.
+func TestMultiCompleterSinkNeedsIntersectView(t *testing.T) {
+	g := buildView(graph.NewEdge(1, 3), graph.NewEdge(2, 3))
+	mc, err := NewMultiCompleter([]Kind{Triangle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForEach with a sink over a graph.AdjSet did not panic")
+		}
+	}()
+	mc.ForEach(g, 1, 2, make([]func([]graph.Edge, []any) bool, 1), &countSink{})
 }
 
 // TestMultiCompleterRejectsBadSets: empty, duplicate, and unknown kinds fail
@@ -218,10 +299,10 @@ func reservoirGraph(n, edges int, rng *rand.Rand) *reservoir.Reservoir {
 
 // TestMultiCompleterSharerScratchCleared: after a multi-pass enumeration, the
 // sharer completers must not keep aliasing the collector's common-neighborhood
-// backing arrays (the regression: a later single-Completer call on a sharer
-// appended into the collector's array). Interleaves multi- and single-completer
-// calls on the same instances and cross-checks every result against fresh
-// completers.
+// backing arrays (the regression: a later pass in which a former sharer
+// collects appended into the collector's array). Interleaves full passes with
+// passes whose earlier clique callbacks are nil, so a former sharer collects,
+// and cross-checks every count against CountCompletions.
 func TestMultiCompleterSharerScratchCleared(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	res := reservoirGraph(20, 120, rng)
@@ -230,56 +311,48 @@ func TestMultiCompleterSharerScratchCleared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]func([]graph.Edge, []any) bool, len(kinds))
 	counts := make([]int, len(kinds))
-	for i := range fns {
-		i := i
-		fns[i] = func([]graph.Edge, []any) bool { counts[i]++; return true }
-	}
-	fresh := map[Kind]*Completer{}
-	for _, k := range kinds {
-		fresh[k] = NewCompleter(k)
+	all := countingFns(counts)
+	check := func(trial int, fns []func([]graph.Edge, []any) bool, a, b graph.VertexID) {
+		t.Helper()
+		clear(counts)
+		mc.ForEach(res, a, b, fns, nil)
+		for i, k := range kinds {
+			want := 0
+			if fns[i] != nil {
+				want = k.CountCompletions(res, a, b)
+			}
+			if counts[i] != want {
+				t.Fatalf("trial %d edge (%d,%d): %s count = %d, want %d", trial, a, b, k, counts[i], want)
+			}
+		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		a := graph.VertexID(rng.Intn(20))
 		b := graph.VertexID(rng.Intn(20))
-		if a == b {
+		a2 := graph.VertexID(rng.Intn(20))
+		b2 := graph.VertexID(rng.Intn(20))
+		if a == b || a2 == b2 {
 			continue
 		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		mc.ForEach(res, a, b, fns)
+		check(trial, all, a, b)
 		// The sharers must have dropped the collector's scratch.
 		for i, c := range mc.comps[1:] {
 			if c.common != nil || c.payA != nil || c.payB != nil {
 				t.Fatalf("trial %d: sharer %s retains aliased scratch after ForEach", trial, kinds[i+1])
 			}
 		}
-		// Interleave: drive each sharer directly on a different edge, which
+		// Interleave: each former sharer collects on a different edge, which
 		// pre-fix appended into the collector's backing array.
-		a2 := graph.VertexID(rng.Intn(20))
-		b2 := graph.VertexID(rng.Intn(20))
-		for i, k := range kinds {
-			if a2 == b2 {
-				continue
-			}
-			if got, want := mc.comps[i].Count(res, a2, b2), fresh[k].Count(res, a2, b2); got != want {
-				t.Fatalf("trial %d: interleaved single %s count = %d, want %d", trial, k, got, want)
-			}
-		}
-		// The multi-pass counts must agree with fresh completers despite the
-		// interleaving.
-		for i, k := range kinds {
-			if want := fresh[k].Count(res, a, b); counts[i] != want {
-				t.Fatalf("trial %d: multi %s count = %d, want %d", trial, k, counts[i], want)
-			}
-		}
+		check(trial, []func([]graph.Edge, []any) bool{nil, all[1], all[2]}, a2, b2)
+		check(trial, []func([]graph.Edge, []any) bool{nil, nil, all[2]}, a2, b2)
+		// The full pass must still agree despite the interleaving.
+		check(trial, all, a, b)
 	}
 }
 
-// TestMultiCompleterCountsAllocFree: Counts must be allocation-free per call
-// when dst has capacity — the counting callbacks are prebuilt at construction.
+// TestMultiCompleterCountsAllocFree: counting through ForEach with prebuilt
+// callbacks is allocation-free per call, with and without a sink.
 func TestMultiCompleterCountsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	res := reservoirGraph(20, 120, rng)
@@ -287,12 +360,16 @@ func TestMultiCompleterCountsAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]int, 0, 5)
-	dst = mc.Counts(res, 1, 2, dst) // warm the enumeration scratch
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = mc.Counts(res, 3, 4, dst)
-	})
-	if allocs != 0 {
-		t.Fatalf("Counts allocates %v per call, want 0", allocs)
+	fns := countingFns(make([]int, 5))
+	sink := &countSink{}
+	mc.ForEach(res, 1, 2, fns, nil) // warm the enumeration scratch
+	mc.ForEach(res, 1, 2, fns, sink)
+	for _, s := range []CliqueSink{nil, sink} {
+		allocs := testing.AllocsPerRun(100, func() {
+			mc.ForEach(res, 3, 4, fns, s)
+		})
+		if allocs != 0 {
+			t.Fatalf("ForEach (sink %v) allocates %v per call, want 0", s != nil, allocs)
+		}
 	}
 }

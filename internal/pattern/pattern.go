@@ -1,8 +1,10 @@
-// Package pattern defines the subgraph patterns studied in the paper (wedge,
-// triangle, 4-clique) and the enumeration primitive every estimator is built
-// on: listing the pattern instances that an arriving or departing edge
-// completes or destroys together with edges of a sampled graph (line 4 of
-// Algorithm 2).
+// Package pattern defines the subgraph patterns counted (the paper's wedge,
+// triangle and 4-clique, plus the 4-cycle and 5-clique extensions) and the
+// enumeration primitive every estimator is built on: listing the pattern
+// instances that an arriving or departing edge completes or destroys together
+// with edges of a sampled graph (line 4 of Algorithm 2). MultiCompleter.ForEach
+// is the one enumeration engine; Kind.ForEachCompletion and
+// Kind.CountCompletions are convenience entry points over it.
 package pattern
 
 import (
@@ -10,18 +12,6 @@ import (
 
 	"repro/internal/graph"
 )
-
-// View is the read-only graph interface enumeration runs against. Both the
-// exact dynamic graph (*graph.AdjSet) and every sampler's reservoir implement
-// it.
-type View interface {
-	// HasEdge reports whether the undirected edge {u, v} is present.
-	HasEdge(u, v graph.VertexID) bool
-	// Degree returns the number of neighbors of u.
-	Degree(u graph.VertexID) int
-	// ForEachNeighbor calls fn for each neighbor of u until fn returns false.
-	ForEachNeighbor(u graph.VertexID, fn func(v graph.VertexID) bool)
-}
 
 // Kind identifies a subgraph pattern H.
 type Kind int
@@ -88,51 +78,65 @@ func (k Kind) Valid() bool { return k >= Wedge && k <= FiveClique }
 // IsClique reports whether k belongs to the clique family, whose enumeration
 // starts from the event edge's common neighborhood and is eligible for the
 // CliqueSink fast path.
-func (k Kind) IsClique() bool { return isClique(k) }
+func (k Kind) IsClique() bool { return k == Triangle || k == FourClique || k == FiveClique }
 
 // ForEachCompletion enumerates the instances of pattern k that the edge
 // {u, v} completes against view: for each instance, fn receives the other
 // Size()-1 edges (every edge except {u, v} itself), all of which are present
 // in the view. Enumeration stops early if fn returns false.
 //
-// The others slice is reused across invocations; fn must not retain it.
+// The others slice is reused across invocations; fn must not retain it. The
+// edge {u, v} itself may or may not be present in the view (see
+// MultiCompleter.ForEach).
 //
-// The edge {u, v} itself may or may not be present in the view: neighbors
-// equal to the opposite endpoint are excluded explicitly, so the same call
-// serves both insertion events (edge not yet sampled) and deletion events
-// (edge possibly still sampled), matching the X and Y estimators of
-// Eqs. (11)-(12).
-//
-// This is the convenience entry point; it borrows a pooled Completer per
-// call. Per-event hot paths should own a Completer and use its ForEach, which
-// also delivers per-edge payloads for ItemView views.
-func (k Kind) ForEachCompletion(v View, a, b graph.VertexID, fn func(others []graph.Edge) bool) {
-	c := borrowCompleter(k)
-	c.ForEach(v, a, b, func(others []graph.Edge, _ []any) bool { return fn(others) })
-	returnCompleter(c)
+// This is the convenience entry point; it borrows a pooled one-kind
+// MultiCompleter per call. Per-event hot paths should own a MultiCompleter,
+// whose ForEach also delivers per-edge payloads.
+func (k Kind) ForEachCompletion(v ItemView, a, b graph.VertexID, fn func(others []graph.Edge) bool) {
+	p := borrowCompleter(k)
+	p.fn, p.fns[0] = fn, p.each
+	p.m.ForEach(v, a, b, p.fns[:], nil)
+	p.fn = nil
+	completerPools[k].Put(p)
 }
 
 // CountCompletions returns the number of instances completed by {a, b},
 // i.e. |H(e)| in the paper's weight heuristic and |Hk| in the RL state.
-func (k Kind) CountCompletions(v View, a, b graph.VertexID) int {
-	c := borrowCompleter(k)
-	n := c.Count(v, a, b)
-	returnCompleter(c)
+func (k Kind) CountCompletions(v ItemView, a, b graph.VertexID) int {
+	p := borrowCompleter(k)
+	p.n, p.fns[0] = 0, p.count
+	p.m.ForEach(v, a, b, p.fns[:], nil)
+	n := p.n
+	completerPools[k].Put(p)
 	return n
 }
 
-// completerPools recycles Completers for the convenience entry points, one
-// pool per pattern kind, so callers that have not adopted a per-counter
-// Completer still avoid rebuilding the enumeration scratch on every call.
+// completerPools recycles the convenience entry points' enumerators, one
+// pool per pattern kind, so their callers avoid rebuilding the enumeration
+// scratch on every call.
 var completerPools [FiveClique + 1]sync.Pool
 
-func borrowCompleter(k Kind) *Completer {
-	if c, ok := completerPools[k].Get().(*Completer); ok {
-		return c
-	}
-	return NewCompleter(k)
+// pooledCompleter is a one-kind MultiCompleter with its callback slot and
+// both entry points' callbacks prebuilt, so a call allocates nothing of its
+// own.
+type pooledCompleter struct {
+	m           *MultiCompleter
+	fns         [1]func(others []graph.Edge, payloads []any) bool
+	n           int                            // CountCompletions' tally
+	fn          func(others []graph.Edge) bool // ForEachCompletion's callback
+	count, each func(others []graph.Edge, payloads []any) bool
 }
 
-func returnCompleter(c *Completer) {
-	completerPools[c.kind].Put(c)
+func borrowCompleter(k Kind) *pooledCompleter {
+	if p, ok := completerPools[k].Get().(*pooledCompleter); ok {
+		return p
+	}
+	m, err := NewMultiCompleter([]Kind{k})
+	if err != nil {
+		panic(err)
+	}
+	p := &pooledCompleter{m: m}
+	p.count = func([]graph.Edge, []any) bool { p.n++; return true }
+	p.each = func(others []graph.Edge, _ []any) bool { return p.fn(others) }
+	return p
 }

@@ -15,7 +15,7 @@ func buildView(edges ...graph.Edge) *graph.AdjSet {
 	return g
 }
 
-func collect(k Kind, v View, a, b graph.VertexID) [][]graph.Edge {
+func collect(k Kind, v ItemView, a, b graph.VertexID) [][]graph.Edge {
 	var out [][]graph.Edge
 	k.ForEachCompletion(v, a, b, func(others []graph.Edge) bool {
 		cp := make([]graph.Edge, len(others))

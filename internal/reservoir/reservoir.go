@@ -45,9 +45,9 @@ func (it *Item) InvWeight() float64 { return it.invW }
 // enumeration is a linear merge of two sorted lists — no hash probes on the
 // counting hot path. The zero value is not usable; construct with New.
 //
-// Reservoir implements pattern.View over all stored items (the WSD view). Use
-// Live for the view that excludes DEL-tagged items (the GPS-A estimator
-// view).
+// Reservoir implements pattern.IntersectView over all stored items (the WSD
+// view). Use Live for the view that excludes DEL-tagged items (the GPS-A
+// estimator view).
 type Reservoir struct {
 	capacity int
 	heap     []*Item
@@ -662,13 +662,13 @@ func (r *Reservoir) siftDown(i int) bool {
 	}
 }
 
-// HasEdge implements pattern.View over all stored items.
+// HasEdge reports whether the edge {u, v} is stored.
 func (r *Reservoir) HasEdge(u, v graph.VertexID) bool {
 	_, ok := r.Get(graph.NewEdge(u, v))
 	return ok
 }
 
-// Degree implements pattern.View over all stored items.
+// Degree implements pattern.ItemView over all stored items.
 func (r *Reservoir) Degree(u graph.VertexID) int {
 	if s := r.slot(u); s != 0 {
 		return int(r.rows[s-1].n)
@@ -681,8 +681,9 @@ func (r *Reservoir) LiveDegree(u graph.VertexID) int {
 	return r.Degree(u) - r.tagged[u]
 }
 
-// ForEachNeighbor implements pattern.View over all stored items. Iteration is
-// in ascending neighbor-ID order; fn must not mutate the reservoir.
+// ForEachNeighbor calls fn for each stored neighbor of u, until fn returns
+// false. Iteration is in ascending neighbor-ID order; fn must not mutate the
+// reservoir.
 func (r *Reservoir) ForEachNeighbor(u graph.VertexID, fn func(v graph.VertexID) bool) {
 	for _, v := range r.list(u).vs {
 		if !fn(v) {
@@ -939,22 +940,23 @@ func (r *Reservoir) Items() []*Item {
 // subgraphs against this view (Eq. 6: I(e in R \ R_tag)).
 func (r *Reservoir) Live() LiveView { return LiveView{r: r} }
 
-// LiveView is a pattern.View over the reservoir that excludes DEL-tagged
-// items.
+// LiveView is a pattern.IntersectView over the reservoir that excludes
+// DEL-tagged items.
 type LiveView struct{ r *Reservoir }
 
-// HasEdge implements pattern.View.
+// HasEdge reports whether the edge {u, v} is stored and not DEL-tagged.
 func (lv LiveView) HasEdge(u, v graph.VertexID) bool {
 	it, ok := lv.r.Get(graph.NewEdge(u, v))
 	return ok && !it.Deleted
 }
 
-// Degree implements pattern.View. It returns the live (tag-excluded) degree,
+// Degree implements pattern.ItemView. It returns the live (tag-excluded) degree,
 // maintained incrementally on SetDeleted, so side selection under deletion
 // churn iterates the objectively shorter live neighborhood.
 func (lv LiveView) Degree(u graph.VertexID) int { return lv.r.LiveDegree(u) }
 
-// ForEachNeighbor implements pattern.View, skipping DEL-tagged edges.
+// ForEachNeighbor calls fn for each neighbor of u, skipping DEL-tagged edges,
+// until fn returns false.
 func (lv LiveView) ForEachNeighbor(u graph.VertexID, fn func(v graph.VertexID) bool) {
 	l := lv.r.list(u)
 	for i, v := range l.vs {

@@ -54,13 +54,14 @@ func (c *GPSConfig) validate() error {
 type GPS struct {
 	cfg        GPSConfig
 	res        *reservoir.Reservoir
-	comp       *pattern.Completer
 	z          float64 // r_{M+1}: max rank ever rejected or evicted
 	estimate   float64
 	insertions int64
 	temporal   []float64
 	arrivals   []float64
 	lastState  weights.State
+	enum       *enumerator
+	sign       float64 // the current event's direction, read by observe
 }
 
 // NewGPS returns a GPS sampler.
@@ -71,13 +72,14 @@ func NewGPS(cfg GPSConfig) (*GPS, error) {
 	if cfg.Weight == nil {
 		cfg.Weight = weights.GPSDefault()
 	}
-	return &GPS{
+	g := &GPS{
 		cfg:      cfg,
 		res:      reservoir.New(cfg.M),
-		comp:     pattern.NewCompleter(cfg.Pattern),
 		temporal: make([]float64, cfg.Pattern.Size()),
 		arrivals: make([]float64, 0, cfg.Pattern.Size()),
-	}, nil
+	}
+	g.enum = newEnumerator(cfg.Pattern, g.observe)
+	return g, nil
 }
 
 // Name identifies the algorithm for reports.
@@ -105,32 +107,30 @@ func (g *GPS) Process(ev stream.Event) {
 	if ev.Op != stream.Insert || ev.Edge.IsLoop() {
 		return
 	}
-	g.insert(ev.Edge, g.res, g.res)
+	g.insert(ev.Edge, g.res)
 }
 
-// insert runs the shared GPS insertion step: estimator update against
-// enumView, then the priority-sampling step. GPS-A reuses it with the live
-// view for enumeration.
-func (g *GPS) insert(e graph.Edge, enumView pattern.View, _ pattern.View) {
+// insert runs the shared GPS insertion step: estimator update against view,
+// then the priority-sampling step. GPS-A reuses it with the live view for
+// enumeration.
+func (g *GPS) insert(e graph.Edge, view pattern.ItemView) {
 	if _, ok := g.res.Get(e); ok {
 		return
 	}
 	g.insertions++
-	state := g.estimateArrival(e, enumView, +1)
+	state := g.estimateArrival(e, view, +1)
 	w := weights.Sanitize(g.cfg.Weight(state))
 	u := 1 - g.cfg.Rng.Float64()
 	rank := w / u
-	it := &reservoir.Item{Edge: e, Weight: w, Rank: rank, Arrival: g.insertions}
 	if !g.res.Full() {
-		g.res.Push(it)
+		g.res.PushValue(e, w, rank, g.insertions)
 		return
 	}
 	if rank > g.res.Min().Rank {
-		evicted := g.res.PopMin()
-		if evicted.Rank > g.z {
+		if evicted := g.res.PopMin(); evicted.Rank > g.z {
 			g.z = evicted.Rank
 		}
-		g.res.Push(it)
+		g.res.PushValue(e, w, rank, g.insertions)
 	} else if rank > g.z {
 		g.z = rank
 	}
@@ -140,39 +140,13 @@ func (g *GPS) insert(e graph.Edge, enumView pattern.View, _ pattern.View) {
 // (or destroys, for sign = -1) against view, applies the inverse-probability
 // update to the estimate, and returns the MDP state observed, which doubles
 // as the input to weight heuristics.
-func (g *GPS) estimateArrival(e graph.Edge, view pattern.View, sign float64) weights.State {
+func (g *GPS) estimateArrival(e graph.Edge, view pattern.ItemView, sign float64) weights.State {
 	h := g.cfg.Pattern.Size()
 	for j := range g.temporal {
 		g.temporal[j] = 0
 	}
-	instances := 0
-	g.comp.ForEach(view, e.U, e.V, func(others []graph.Edge, payloads []any) bool {
-		prod := 1.0
-		arr := g.arrivals[:0]
-		for i, oe := range others {
-			// Both GPS views (the reservoir and its live view) are ItemViews,
-			// so the payload is the item; the lookup is a defensive fallback.
-			it, _ := payloads[i].(*reservoir.Item)
-			if it == nil {
-				var ok bool
-				it, ok = g.res.Get(oe)
-				if !ok {
-					panic(fmt.Sprintf("sampling: enumerated edge %v missing from reservoir", oe))
-				}
-			}
-			prod *= 1 / g.inclusionProb(it)
-			arr = append(arr, float64(it.Arrival))
-		}
-		g.estimate += sign * prod
-		instances++
-		sort.Float64s(arr)
-		for j, a := range arr {
-			if a > g.temporal[j] {
-				g.temporal[j] = a
-			}
-		}
-		return true
-	})
+	g.sign = sign
+	instances := g.enum.run(view, e)
 	if instances > 0 {
 		g.temporal[h-1] = float64(g.insertions)
 	} else {
@@ -187,13 +161,36 @@ func (g *GPS) estimateArrival(e graph.Edge, view pattern.View, sign float64) wei
 	}
 }
 
+// observe is the per-instance callback of estimateArrival: it adds the
+// instance's inverse-probability product with the event's sign and folds
+// the instance's arrival indexes into the temporal state features. Both GPS
+// views (the reservoir and its live view) carry each edge's item as the
+// payload.
+func (g *GPS) observe(_ []graph.Edge, payloads []any) bool {
+	prod := 1.0
+	arr := g.arrivals[:0]
+	for _, p := range payloads {
+		it := p.(*reservoir.Item)
+		prod *= 1 / g.inclusionProb(it)
+		arr = append(arr, float64(it.Arrival))
+	}
+	g.estimate += g.sign * prod
+	sort.Float64s(arr)
+	for j, a := range arr {
+		if a > g.temporal[j] {
+			g.temporal[j] = a
+		}
+	}
+	return true
+}
+
 // GPSA is the GPS-A framework of Section III-B: GPS sampling with lazy
 // deletions. A deletion event attaches a DEL tag to the sampled edge instead
 // of removing it; tagged edges keep occupying reservoir slots (the framework's
 // documented drawback) and the estimator enumerates only untagged edges
 // (Eqs. 6-8).
 type GPSA struct {
-	gps GPS
+	gps *GPS
 }
 
 // NewGPSA returns a GPS-A sampler.
@@ -202,7 +199,7 @@ func NewGPSA(cfg GPSConfig) (*GPSA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GPSA{gps: *g}, nil
+	return &GPSA{gps: g}, nil
 }
 
 // Name identifies the algorithm for reports.
@@ -235,8 +232,7 @@ func (a *GPSA) Process(ev stream.Event) {
 	case stream.Insert:
 		// Estimator and weights see only live edges; sampling competition
 		// still includes tagged edges.
-		live := a.gps.res.Live()
-		a.gps.insert(ev.Edge, live, live)
+		a.gps.insert(ev.Edge, a.gps.res.Live())
 	case stream.Delete:
 		a.gps.estimateArrival(ev.Edge, a.gps.res.Live(), -1)
 		if it, ok := a.gps.res.Get(ev.Edge); ok {

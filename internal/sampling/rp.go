@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
+	"repro/internal/pattern"
 )
 
 // rpSample implements random pairing (Gemulla, Lehner, Haas: "A dip in the
@@ -13,7 +14,8 @@ import (
 // d_i (deleted while sampled) and d_o (deleted while unsampled) that pair
 // future insertions with past deletions.
 //
-// The sample's adjacency doubles as a pattern.View for estimator enumeration.
+// The sample's adjacency doubles as a pattern.ItemView for estimator
+// enumeration.
 type rpSample struct {
 	m     int
 	rng   *rand.Rand
@@ -138,4 +140,37 @@ func (r *rpSample) drop(e graph.Edge) {
 func (r *rpSample) evictRandom() {
 	e := r.edges[r.rng.Intn(len(r.edges))]
 	r.drop(e)
+}
+
+// enumerator is a baseline's own one-kind enumeration engine: the
+// MultiCompleter and its instance callback are built once, so enumerating an
+// event's instances allocates nothing.
+type enumerator struct {
+	comp *pattern.MultiCompleter
+	fns  []func(others []graph.Edge, payloads []any) bool
+	n    int
+}
+
+// newEnumerator returns an enumerator for pattern k passing each instance to
+// fn, which may be nil when only the count matters. The samplers' config
+// validation has already vetted k.
+func newEnumerator(k pattern.Kind, fn func(others []graph.Edge, payloads []any) bool) *enumerator {
+	comp, err := pattern.NewMultiCompleter([]pattern.Kind{k})
+	if err != nil {
+		panic(err)
+	}
+	en := &enumerator{comp: comp}
+	en.fns = []func([]graph.Edge, []any) bool{func(others []graph.Edge, payloads []any) bool {
+		en.n++
+		return fn == nil || fn(others, payloads)
+	}}
+	return en
+}
+
+// run enumerates the instances e completes against v and returns how many
+// there were.
+func (en *enumerator) run(v pattern.ItemView, e graph.Edge) int {
+	en.n = 0
+	en.comp.ForEach(v, e.U, e.V, en.fns, nil)
+	return en.n
 }

@@ -52,15 +52,16 @@ func NewTriest(cfg UniformConfig) (*Triest, error) {
 		return nil, err
 	}
 	t := &Triest{cfg: cfg, rp: newRPSample(cfg.M, cfg.Rng)}
+	count := newEnumerator(cfg.Pattern, nil)
 	t.rp.onAdd = func(e graph.Edge) {
 		// Count instances e completes with edges already in the sample;
 		// runs before e is linked, so e itself is excluded naturally.
-		t.tau += int64(cfg.Pattern.CountCompletions(t.rp.adj, e.U, e.V))
+		t.tau += int64(count.run(t.rp.adj, e))
 	}
 	t.rp.onRemove = func(e graph.Edge) {
 		// Runs after e is unlinked: count instances e completed with the
 		// remaining sampled edges and remove them.
-		t.tau -= int64(cfg.Pattern.CountCompletions(t.rp.adj, e.U, e.V))
+		t.tau -= int64(count.run(t.rp.adj, e))
 	}
 	return t, nil
 }
@@ -106,6 +107,7 @@ func (t *Triest) Process(ev stream.Event) {
 type ThinkD struct {
 	cfg      UniformConfig
 	rp       *rpSample
+	count    *enumerator
 	estimate float64
 }
 
@@ -114,7 +116,7 @@ func NewThinkD(cfg UniformConfig) (*ThinkD, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &ThinkD{cfg: cfg, rp: newRPSample(cfg.M, cfg.Rng)}, nil
+	return &ThinkD{cfg: cfg, rp: newRPSample(cfg.M, cfg.Rng), count: newEnumerator(cfg.Pattern, nil)}, nil
 }
 
 // Name identifies the algorithm for reports.
@@ -149,6 +151,5 @@ func (t *ThinkD) updateEstimate(e graph.Edge, sign float64) {
 	if inv == 0 {
 		return
 	}
-	n := t.cfg.Pattern.CountCompletions(t.rp.adj, e.U, e.V)
-	t.estimate += sign * inv * float64(n)
+	t.estimate += sign * inv * float64(t.count.run(t.rp.adj, e))
 }

@@ -32,6 +32,8 @@ type WRS struct {
 	rp       *rpSample
 	stored   *graph.AdjSet // waiting room + reservoir-sampled edges
 	estimate float64
+	enum     *enumerator
+	sign     float64 // the current event's direction, read by observe
 }
 
 // NewWRS returns a WRS sampler.
@@ -60,6 +62,7 @@ func NewWRS(cfg WRSConfig) (*WRS, error) {
 		rp:     newRPSample(resCap, cfg.Rng),
 		stored: graph.NewAdjSet(),
 	}
+	w.enum = newEnumerator(cfg.Pattern, w.observe)
 	w.rp.onAdd = func(e graph.Edge) { w.stored.Add(e) }
 	w.rp.onRemove = func(e graph.Edge) { w.stored.Remove(e) }
 	return w, nil
@@ -97,19 +100,22 @@ func (w *WRS) Process(ev stream.Event) {
 // stored edges; each instance contributes the inverse joint probability of
 // its reservoir-resident edges (waiting-room edges are deterministic).
 func (w *WRS) updateEstimate(e graph.Edge, sign float64) {
-	w.cfg.Pattern.ForEachCompletion(w.stored, e.U, e.V, func(others []graph.Edge) bool {
-		k := 0
-		for _, oe := range others {
-			if _, inWR := w.wrSet[oe]; !inWR {
-				k++
-			}
+	w.sign = sign
+	w.enum.run(w.stored, e)
+}
+
+// observe is updateEstimate's per-instance callback.
+func (w *WRS) observe(others []graph.Edge, _ []any) bool {
+	k := 0
+	for _, oe := range others {
+		if _, inWR := w.wrSet[oe]; !inWR {
+			k++
 		}
-		inv := w.rp.jointInverseProb(k)
-		if inv > 0 {
-			w.estimate += sign * inv
-		}
-		return true
-	})
+	}
+	if inv := w.rp.jointInverseProb(k); inv > 0 {
+		w.estimate += w.sign * inv
+	}
+	return true
 }
 
 // admit pushes e into the waiting room, spilling the oldest resident into the
