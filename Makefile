@@ -71,7 +71,7 @@ fleet-smoke:
 # guard skips itself under -race (sync.Pool drops items there); `make
 # test` runs it.
 enum-smoke:
-	$(GO) test -race -run 'Differential|PairAmong|Common|AdjacentIn|ReservoirOps|MultiCompleter|Completions' ./internal/pattern/ ./internal/reservoir/
+	$(GO) test -race -run 'Differential|PairAmong|Common|AdjacentIn|ReservoirOps|RowsOps|SparseRowFootprint|DenseIndexGrowth|MultiCompleter|Completions' ./internal/pattern/ ./internal/reservoir/ ./internal/graph/
 	$(GO) test -run xxx -fuzz FuzzDifferentialEnumeration -fuzztime 20s -fuzzminimizetime 1s ./internal/pattern/
 	$(GO) run -race ./cmd/wsdbench -exp suite -only core/dense -trials 1
 

@@ -15,7 +15,7 @@ import (
 // graph. Construct with New; the zero value is not usable.
 type Counter struct {
 	g      *graph.AdjSet
-	track  map[pattern.Kind]bool
+	kinds  []pattern.Kind
 	counts map[pattern.Kind]int64
 }
 
@@ -29,12 +29,13 @@ func New(kinds ...pattern.Kind) *Counter {
 	}
 	c := &Counter{
 		g:      graph.NewAdjSet(),
-		track:  make(map[pattern.Kind]bool, len(kinds)),
 		counts: make(map[pattern.Kind]int64, len(kinds)),
 	}
 	for _, k := range kinds {
-		c.track[k] = true
-		c.counts[k] = 0
+		if _, dup := c.counts[k]; !dup {
+			c.kinds = append(c.kinds, k)
+			c.counts[k] = 0
+		}
 	}
 	return c
 }
@@ -68,55 +69,27 @@ func (c *Counter) Apply(ev stream.Event) {
 // graph has not yet been mutated; for deletion it has just been mutated, so
 // both cases see the same "e absent" view and the update is symmetric.
 func (c *Counter) addDeltas(e graph.Edge, sign int64) {
-	u, v := e.U, e.V
-	if c.track[pattern.Wedge] {
-		// Each existing neighbor of u forms a wedge centered at u with the
-		// new edge, and symmetrically for v.
-		c.counts[pattern.Wedge] += sign * int64(c.g.Degree(u)+c.g.Degree(v))
-	}
-	if c.track[pattern.Triangle] {
-		n := 0
-		c.g.CommonNeighbors(u, v, func(graph.VertexID) bool {
-			n++
-			return true
-		})
-		c.counts[pattern.Triangle] += sign * int64(n)
-	}
-	if c.track[pattern.FourCycle] {
-		// C4 has no closed-form degree update; count the length-3 paths
-		// between u and v via the shared enumeration.
-		n := int64(pattern.FourCycle.CountCompletions(c.g, u, v))
-		c.counts[pattern.FourCycle] += sign * n
-	}
-	if c.track[pattern.FiveClique] {
-		n := int64(pattern.FiveClique.CountCompletions(c.g, u, v))
-		c.counts[pattern.FiveClique] += sign * n
-	}
-	if c.track[pattern.FourClique] {
-		var common []graph.VertexID
-		c.g.CommonNeighbors(u, v, func(w graph.VertexID) bool {
-			common = append(common, w)
-			return true
-		})
-		n := int64(0)
-		for i := 0; i < len(common); i++ {
-			for j := i + 1; j < len(common); j++ {
-				if c.g.HasEdge(common[i], common[j]) {
-					n++
-				}
-			}
+	for _, k := range c.kinds {
+		var n int
+		if k == pattern.Wedge {
+			// Each existing neighbor of u forms a wedge centered at u with
+			// the new edge, and symmetrically for v.
+			n = c.g.Degree(e.U) + c.g.Degree(e.V)
+		} else {
+			n = k.CountCompletions(c.g, e.U, e.V)
 		}
-		c.counts[pattern.FourClique] += sign * n
+		c.counts[k] += sign * int64(n)
 	}
 }
 
 // Count returns the exact count of pattern k at the current time. It panics
 // if k is not tracked, which is always a caller bug.
 func (c *Counter) Count(k pattern.Kind) int64 {
-	if !c.track[k] {
+	n, ok := c.counts[k]
+	if !ok {
 		panic("exact: pattern " + k.String() + " not tracked by this counter")
 	}
-	return c.counts[k]
+	return n
 }
 
 // Graph exposes the current graph. Callers must not mutate it.
@@ -126,62 +99,23 @@ func (c *Counter) Graph() *graph.AdjSet { return c.g }
 // scratch. It is the brute-force oracle used by property tests to validate
 // the incremental counter, and by the relationship experiment (Fig. 2d).
 func CountStatic(g *graph.AdjSet, k pattern.Kind) int64 {
-	var total int64
-	switch k {
-	case pattern.Wedge:
-		for _, e := range g.Edges() {
-			_ = e
-		}
-		// Wedges = sum over vertices of C(deg, 2).
-		seen := make(map[graph.VertexID]bool)
-		for _, e := range g.Edges() {
-			for _, v := range []graph.VertexID{e.U, e.V} {
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				d := int64(g.Degree(v))
-				total += d * (d - 1) / 2
-			}
-		}
-	case pattern.Triangle:
-		for _, e := range g.Edges() {
-			g.CommonNeighbors(e.U, e.V, func(w graph.VertexID) bool {
-				total++
-				return true
-			})
-		}
-		total /= 3 // each triangle counted once per edge
-	case pattern.FourCycle:
-		for _, e := range g.Edges() {
-			total += int64(pattern.FourCycle.CountCompletions(g, e.U, e.V))
-		}
-		total /= 4 // each 4-cycle counted once per edge
-	case pattern.FiveClique:
-		for _, e := range g.Edges() {
-			total += int64(pattern.FiveClique.CountCompletions(g, e.U, e.V))
-		}
-		total /= 10 // each 5-clique counted once per edge
-	case pattern.FourClique:
-		for _, e := range g.Edges() {
-			var common []graph.VertexID
-			g.CommonNeighbors(e.U, e.V, func(w graph.VertexID) bool {
-				common = append(common, w)
-				return true
-			})
-			for i := 0; i < len(common); i++ {
-				for j := i + 1; j < len(common); j++ {
-					if g.HasEdge(common[i], common[j]) {
-						total++
-					}
-				}
-			}
-		}
-		total /= 6 // each 4-clique counted once per edge
-	default:
+	if !k.Valid() {
 		panic("exact: unknown pattern kind")
 	}
-	return total
+	var total int64
+	if k == pattern.Wedge {
+		// Wedges = sum over vertices of C(deg, 2).
+		g.ForEachVertex(func(u graph.VertexID) {
+			d := int64(g.Degree(u))
+			total += d * (d - 1) / 2
+		})
+		return total
+	}
+	// Each instance is completed by every one of its Size() edges.
+	for _, e := range g.Edges() {
+		total += int64(k.CountCompletions(g, e.U, e.V))
+	}
+	return total / int64(k.Size())
 }
 
 // PerEdgeTriangles returns, for every edge of g, the number of triangles
@@ -189,12 +123,7 @@ func CountStatic(g *graph.AdjSet, k pattern.Kind) int64 {
 func PerEdgeTriangles(g *graph.AdjSet) map[graph.Edge]int {
 	out := make(map[graph.Edge]int, g.Len())
 	for _, e := range g.Edges() {
-		n := 0
-		g.CommonNeighbors(e.U, e.V, func(graph.VertexID) bool {
-			n++
-			return true
-		})
-		out[e] = n
+		out[e] = pattern.Triangle.CountCompletions(g, e.U, e.V)
 	}
 	return out
 }

@@ -116,7 +116,7 @@ func TestHolmeKimClusteringAboveBA(t *testing.T) {
 		}
 		n := 0
 		for _, e := range edges {
-			g.CommonNeighbors(e.U, e.V, func(graph.VertexID) bool { n++; return true })
+			g.ForEachCommonItem(e.U, e.V, func(graph.VertexID, any, any) bool { n++; return true })
 		}
 		return n / 3
 	}
@@ -150,7 +150,7 @@ func TestCopyingModelTriangleDensity(t *testing.T) {
 	}
 	tri := 0
 	for _, e := range edges {
-		g.CommonNeighbors(e.U, e.V, func(graph.VertexID) bool { tri++; return true })
+		g.ForEachCommonItem(e.U, e.V, func(graph.VertexID, any, any) bool { tri++; return true })
 	}
 	tri /= 3
 	// Each copy step closes a triangle with the prototype, so triangle count

@@ -4,8 +4,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. Generators produce dense identifiers starting
@@ -47,38 +48,22 @@ func (e Edge) Other(v VertexID) VertexID {
 // String implements fmt.Stringer.
 func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 
-// AdjSet is a dynamic adjacency structure over an undirected simple graph.
-// The zero value is not usable; construct with NewAdjSet. It supports O(1)
-// expected insert, delete and membership, and neighbor iteration, which is
-// everything the exact counters and the uniform-sampling baselines need.
+// AdjSet is a dynamic undirected simple graph: the Rows store with no
+// payload column, so it implements pattern.IntersectView with nil payloads.
+// It is what the exact counters and the uniform-sampling baselines keep
+// their graphs in. The zero value is an empty graph; NewAdjSet returns one.
 type AdjSet struct {
-	adj   map[VertexID]map[VertexID]struct{}
-	edges int
+	Rows[struct{}]
 }
 
 // NewAdjSet returns an empty adjacency set.
-func NewAdjSet() *AdjSet {
-	return &AdjSet{adj: make(map[VertexID]map[VertexID]struct{})}
-}
-
-// Len returns the number of edges currently stored.
-func (a *AdjSet) Len() int { return a.edges }
-
-// NumVertices returns the number of vertices with at least one incident edge.
-func (a *AdjSet) NumVertices() int { return len(a.adj) }
+func NewAdjSet() *AdjSet { return &AdjSet{} }
 
 // Has reports whether edge e is present.
 func (a *AdjSet) Has(e Edge) bool {
-	n, ok := a.adj[e.U]
-	if !ok {
-		return false
-	}
-	_, ok = n[e.V]
+	_, ok := a.Find(e.U, e.V)
 	return ok
 }
-
-// HasEdge reports whether the undirected edge {u, v} is present.
-func (a *AdjSet) HasEdge(u, v VertexID) bool { return a.Has(NewEdge(u, v)) }
 
 // Add inserts edge e. It reports whether the edge was newly added (false if
 // it was already present or is a self-loop).
@@ -86,9 +71,7 @@ func (a *AdjSet) Add(e Edge) bool {
 	if e.IsLoop() || a.Has(e) {
 		return false
 	}
-	a.link(e.U, e.V)
-	a.link(e.V, e.U)
-	a.edges++
+	a.Link(e, struct{}{})
 	return true
 }
 
@@ -97,114 +80,32 @@ func (a *AdjSet) Remove(e Edge) bool {
 	if !a.Has(e) {
 		return false
 	}
-	a.unlink(e.U, e.V)
-	a.unlink(e.V, e.U)
-	a.edges--
+	a.Unlink(e)
 	return true
 }
 
-func (a *AdjSet) link(u, v VertexID) {
-	n := a.adj[u]
-	if n == nil {
-		n = make(map[VertexID]struct{})
-		a.adj[u] = n
-	}
-	n[v] = struct{}{}
-}
-
-func (a *AdjSet) unlink(u, v VertexID) {
-	n := a.adj[u]
-	delete(n, v)
-	if len(n) == 0 {
-		delete(a.adj, u)
-	}
-}
-
-// Degree returns the number of neighbors of v.
-func (a *AdjSet) Degree(v VertexID) int { return len(a.adj[v]) }
-
-// ForEachNeighbor calls fn for every neighbor of u. Iteration stops early if
-// fn returns false. Iteration order is unspecified.
-func (a *AdjSet) ForEachNeighbor(u VertexID, fn func(v VertexID) bool) {
-	for v := range a.adj[u] {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
-// ProbeEdge implements pattern.ItemView with nil payloads: AdjSet edges carry
-// no per-edge state, so enumeration against it resolves payloads to nil.
-func (a *AdjSet) ProbeEdge(u, v VertexID) (any, bool) { return nil, a.HasEdge(u, v) }
-
-// ForEachNeighborItem implements pattern.ItemView with nil payloads.
-func (a *AdjSet) ForEachNeighborItem(u VertexID, fn func(v VertexID, payload any) bool) {
-	for v := range a.adj[u] {
-		if !fn(v, nil) {
-			return
-		}
-	}
-}
-
-// Neighbors returns the neighbors of u as a freshly allocated slice, sorted
-// ascending for determinism. Intended for tests and small-scale inspection;
-// hot paths should use ForEachNeighbor.
+// Neighbors returns the neighbors of u, ascending, as a freshly allocated
+// slice.
 func (a *AdjSet) Neighbors(u VertexID) []VertexID {
-	n := a.adj[u]
-	out := make([]VertexID, 0, len(n))
-	for v := range n {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	vs, _ := a.row(u)
+	return slices.Clone(vs)
 }
 
-// Edges returns all edges as a freshly allocated slice, sorted for
-// determinism. Intended for tests and snapshotting.
+// Edges returns all edges as a freshly allocated slice, sorted by U and then
+// V. Intended for tests and snapshotting.
 func (a *AdjSet) Edges() []Edge {
-	out := make([]Edge, 0, a.edges)
-	for u, ns := range a.adj {
-		for v := range ns {
-			if u < v {
-				out = append(out, Edge{U: u, V: v})
-			}
+	out := make([]Edge, 0, a.Len())
+	a.ForEachVertex(func(u VertexID) {
+		vs, _ := a.row(u)
+		for _, v := range vs[searchAdj(vs, u+1):] {
+			out = append(out, Edge{U: u, V: v})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	})
+	slices.SortFunc(out, func(x, y Edge) int {
+		if x.U != y.U {
+			return cmp.Compare(x.U, y.U)
 		}
-		return out[i].V < out[j].V
+		return cmp.Compare(x.V, y.V)
 	})
 	return out
-}
-
-// CommonNeighbors calls fn for every common neighbor of u and v, iterating
-// over the smaller neighborhood. Iteration stops early if fn returns false.
-func (a *AdjSet) CommonNeighbors(u, v VertexID, fn func(w VertexID) bool) {
-	nu, nv := a.adj[u], a.adj[v]
-	if len(nu) > len(nv) {
-		nu, nv = nv, nu
-	}
-	for w := range nu {
-		if _, ok := nv[w]; ok {
-			if !fn(w) {
-				return
-			}
-		}
-	}
-}
-
-// Clone returns a deep copy of the adjacency set.
-func (a *AdjSet) Clone() *AdjSet {
-	c := NewAdjSet()
-	c.edges = a.edges
-	for u, ns := range a.adj {
-		m := make(map[VertexID]struct{}, len(ns))
-		for v := range ns {
-			m[v] = struct{}{}
-		}
-		c.adj[u] = m
-	}
-	return c
 }

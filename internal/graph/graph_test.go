@@ -59,7 +59,7 @@ func TestAdjSetAddRemove(t *testing.T) {
 	if a.Add(NewEdge(3, 3)) {
 		t.Fatal("self-loop add should report false")
 	}
-	if a.Len() != 1 || !a.Has(e) || !a.HasEdge(2, 1) {
+	if _, ok := a.Find(2, 1); a.Len() != 1 || !a.Has(e) || !ok {
 		t.Fatalf("membership broken: len=%d", a.Len())
 	}
 	if !a.Remove(e) {
@@ -68,8 +68,10 @@ func TestAdjSetAddRemove(t *testing.T) {
 	if a.Remove(e) {
 		t.Fatal("remove of absent edge should report false")
 	}
-	if a.Len() != 0 || a.NumVertices() != 0 {
-		t.Fatalf("not empty after removal: len=%d vertices=%d", a.Len(), a.NumVertices())
+	vertices := 0
+	a.ForEachVertex(func(VertexID) { vertices++ })
+	if a.Len() != 0 || vertices != 0 {
+		t.Fatalf("not empty after removal: len=%d vertices=%d", a.Len(), vertices)
 	}
 }
 
@@ -99,7 +101,10 @@ func TestAdjSetForEachNeighborEarlyStop(t *testing.T) {
 		a.Add(NewEdge(0, i))
 	}
 	n := 0
-	a.ForEachNeighbor(0, func(VertexID) bool {
+	a.ForEachNeighborItem(0, func(_ VertexID, payload any) bool {
+		if payload != nil {
+			t.Fatalf("AdjSet payload %v, want nil", payload)
+		}
 		n++
 		return n < 3
 	})
@@ -116,7 +121,7 @@ func TestAdjSetCommonNeighbors(t *testing.T) {
 	a.Add(NewEdge(1, 3))
 	a.Add(NewEdge(1, 4))
 	var common []VertexID
-	a.CommonNeighbors(1, 2, func(w VertexID) bool {
+	a.ForEachCommonItem(1, 2, func(w VertexID, _, _ any) bool {
 		common = append(common, w)
 		return true
 	})
@@ -139,17 +144,6 @@ func TestAdjSetEdgesSorted(t *testing.T) {
 		if edges[i] != want[i] {
 			t.Fatalf("edges = %v, want %v", edges, want)
 		}
-	}
-}
-
-func TestAdjSetClone(t *testing.T) {
-	a := NewAdjSet()
-	a.Add(NewEdge(1, 2))
-	c := a.Clone()
-	c.Add(NewEdge(3, 4))
-	c.Remove(NewEdge(1, 2))
-	if !a.Has(NewEdge(1, 2)) || a.Has(NewEdge(3, 4)) {
-		t.Fatal("clone shares state with original")
 	}
 }
 

@@ -21,7 +21,7 @@ func config(m int, k pattern.Kind, seed int64) core.Config {
 func exactLocalTriangles(g *graph.AdjSet) map[graph.VertexID]float64 {
 	out := make(map[graph.VertexID]float64)
 	for _, e := range g.Edges() {
-		g.CommonNeighbors(e.U, e.V, func(w graph.VertexID) bool {
+		g.ForEachCommonItem(e.U, e.V, func(w graph.VertexID, _, _ any) bool {
 			// Each triangle visited once per edge => 3 visits; each visit
 			// credits all three vertices 1/3.
 			out[e.U] += 1.0 / 3

@@ -7,8 +7,12 @@ import (
 )
 
 // ItemView is the read-only graph interface enumeration runs against. Its
-// edges carry an opaque per-edge payload (the sampled reservoir's
-// *reservoir.Item; nil for the exact dynamic graph, *graph.AdjSet). Enumeration hands each instance's
+// edges carry an opaque per-edge payload: the sampled reservoir's
+// *reservoir.Item, or nil for a *graph.AdjSet (the exact oracles' graphs and
+// the uniform baselines' samples). Both are the same sorted-row store,
+// graph.Rows, and implement IntersectView; a view without it is enumerated
+// by neighbor walks and ProbeEdge, the reference path the differential
+// tests check the merges against. Enumeration hands each instance's
 // payloads to the callback alongside its edges, so estimators can read
 // per-edge state (weights, arrival indexes) without a second hash lookup per
 // edge — the dominant cost of the completion hot path for dense patterns.
@@ -27,7 +31,7 @@ type ItemView interface {
 }
 
 // IntersectView extends ItemView for stores that keep each adjacency list
-// sorted by neighbor ID (the reservoir), exposing the two intersection
+// sorted by neighbor ID (graph.Rows), exposing the two intersection
 // primitives clique enumeration is built from. With these, common-neighborhood
 // collection and pair/triple adjacency checks become merge walks over sorted
 // slices instead of per-candidate hash probes — the dominant cost of dense

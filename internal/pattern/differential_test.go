@@ -138,10 +138,12 @@ func oneKindCompleters(t testing.TB) map[Kind]*MultiCompleter {
 
 // runDifferentialHistory drives a random insert/delete/tag history on a real
 // reservoir, stopping at checkpoints to compare every enumeration strategy on
-// random event edges over both the plain and the Live view.
+// random event edges over the plain and the Live view, and over a
+// graph.AdjSet holding the same edges.
 func runDifferentialHistory(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	res := reservoir.New(512)
+	g := graph.NewAdjSet()
 	present := map[graph.Edge]bool{}
 	comps := oneKindCompleters(t)
 	const n = 28 // small dense vertex set: every kind gets instances
@@ -155,12 +157,14 @@ func runDifferentialHistory(t *testing.T, seed int64) {
 		switch {
 		case present[e] && rng.Intn(3) == 0:
 			res.Remove(e)
+			g.Remove(e)
 			delete(present, e)
 		case present[e]:
 			it, _ := res.Get(e)
 			res.SetDeleted(it, rng.Intn(2) == 0)
 		case !res.Full():
 			res.PushValue(e, 1+rng.Float64(), rng.Float64(), int64(step))
+			g.Add(e)
 			present[e] = true
 		}
 		if step%83 != 0 || res.Len() == 0 {
@@ -174,6 +178,7 @@ func runDifferentialHistory(t *testing.T, seed int64) {
 			}
 			checkDifferential(t, comps, res, a, b, "plain")
 			checkDifferential(t, comps, res.Live(), a, b, "live")
+			checkDifferential(t, comps, g, a, b, "adjset")
 		}
 	}
 }
@@ -202,11 +207,13 @@ func TestDifferentialEnumerationBitset(t *testing.T) {
 
 // FuzzDifferentialEnumeration drives the same comparison from a fuzzed
 // operation tape: each byte pair encodes an edge, each third byte an action.
+// A graph.AdjSet follows the reservoir's edges and is compared too.
 func FuzzDifferentialEnumeration(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 2, 3, 0, 1, 3, 0, 4, 5, 1})
 	f.Add([]byte{7, 8, 0, 8, 9, 0, 7, 9, 0, 7, 8, 2, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		res := reservoir.New(128)
+		g := graph.NewAdjSet()
 		comps := oneKindCompleters(t)
 		const n = 12
 		for i := 0; i+2 < len(tape); i += 3 {
@@ -221,10 +228,12 @@ func FuzzDifferentialEnumeration(f *testing.F) {
 			case 0:
 				if !ok && !res.Full() {
 					res.PushValue(e, 1, float64(i), int64(i))
+					g.Add(e)
 				}
 			case 1:
 				if ok {
 					res.Remove(e)
+					g.Remove(e)
 				}
 			case 2:
 				if ok {
@@ -236,6 +245,7 @@ func FuzzDifferentialEnumeration(f *testing.F) {
 			for b := a + 1; b < n; b++ {
 				checkDifferential(t, comps, res, a, b, "plain")
 				checkDifferential(t, comps, res.Live(), a, b, "live")
+				checkDifferential(t, comps, g, a, b, "adjset")
 			}
 		}
 	})

@@ -251,14 +251,14 @@ func TestMultiCompleterSinkMixedKinds(t *testing.T) {
 // TestMultiCompleterSinkNeedsIntersectView: a sink over a view without
 // sorted intersection is a caller bug and panics.
 func TestMultiCompleterSinkNeedsIntersectView(t *testing.T) {
-	g := buildView(graph.NewEdge(1, 3), graph.NewEdge(2, 3))
+	g := itemOnlyView{buildView(graph.NewEdge(1, 3), graph.NewEdge(2, 3))}
 	mc, err := NewMultiCompleter([]Kind{Triangle})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ForEach with a sink over a graph.AdjSet did not panic")
+			t.Fatal("ForEach with a sink over a view without IntersectView did not panic")
 		}
 	}()
 	mc.ForEach(g, 1, 2, make([]func([]graph.Edge, []any) bool, 1), &countSink{})

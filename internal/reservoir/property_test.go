@@ -36,23 +36,20 @@ func checkInvariants(t *testing.T, r *Reservoir) {
 	}
 	entries := 0
 	taggedCount := map[graph.VertexID]int{}
-	r.forEachList(func(u graph.VertexID, l adjList) {
-		if len(l.vs) == 0 {
+	forEachRow(r, func(u graph.VertexID, vs []graph.VertexID, its []*Item) {
+		if len(vs) == 0 {
 			t.Fatalf("vertex %d kept with empty adjacency", u)
 		}
-		if len(l.vs) != len(l.its) {
-			t.Fatalf("adj[%d] parallel slices out of sync: %d IDs, %d items", u, len(l.vs), len(l.its))
-		}
-		entries += len(l.vs)
-		for i, v := range l.vs {
-			it := l.its[i]
+		entries += len(vs)
+		for i, v := range vs {
+			it := its[i]
 			if it == nil {
 				t.Fatalf("adj[%d][%d] has nil item", u, i)
 			}
 			// Strictly ascending, except that a self-loop holds two entries
 			// for one item.
-			if i > 0 && l.vs[i-1] >= v && !(l.vs[i-1] == v && v == u && l.its[i-1] == it) {
-				t.Fatalf("adj[%d] not strictly sorted at %d: %d then %d", u, i, l.vs[i-1], v)
+			if i > 0 && vs[i-1] >= v && !(vs[i-1] == v && v == u && its[i-1] == it) {
+				t.Fatalf("adj[%d] not strictly sorted at %d: %d then %d", u, i, vs[i-1], v)
 			}
 			if it.Edge != graph.NewEdge(u, v) {
 				t.Fatalf("adj[%d][%d] points at item %v, want edge {%d,%d}", u, i, it.Edge, u, v)
@@ -80,15 +77,41 @@ func checkInvariants(t *testing.T, r *Reservoir) {
 			t.Fatalf("tagged[%d] = %d, recount %d", u, n, taggedCount[u])
 		}
 	}
-	// Degree and LiveDegree agree with the adjacency they report.
-	r.forEachList(func(u graph.VertexID, l adjList) {
-		if r.Degree(u) != len(l.vs) {
-			t.Fatalf("Degree(%d) = %d, adjacency has %d", u, r.Degree(u), len(l.vs))
+	// Degree and the live view's degree agree with the adjacency they report.
+	forEachRow(r, func(u graph.VertexID, vs []graph.VertexID, _ []*Item) {
+		if r.Degree(u) != len(vs) {
+			t.Fatalf("Degree(%d) = %d, adjacency has %d", u, r.Degree(u), len(vs))
 		}
-		if want := len(l.vs) - taggedCount[u]; r.LiveDegree(u) != want {
-			t.Fatalf("LiveDegree(%d) = %d, want %d", u, r.LiveDegree(u), want)
+		if want := len(vs) - taggedCount[u]; r.Live().Degree(u) != want {
+			t.Fatalf("live Degree(%d) = %d, want %d", u, r.Live().Degree(u), want)
 		}
 	})
+}
+
+// forEachRow calls fn with every vertex's row, in row order, read through
+// the store's walks.
+func forEachRow(r *Reservoir, fn func(u graph.VertexID, vs []graph.VertexID, its []*Item)) {
+	r.adj.ForEachVertex(func(u graph.VertexID) {
+		vs, its := rowOf(r, u)
+		fn(u, vs, its)
+	})
+}
+
+// rowOf returns u's neighbors and their items, in row order.
+func rowOf(r *Reservoir, u graph.VertexID) (vs []graph.VertexID, its []*Item) {
+	r.ForEachNeighborItem(u, func(v graph.VertexID, p any) bool {
+		vs, its = append(vs, v), append(its, p.(*Item))
+		return true
+	})
+	return vs, its
+}
+
+// hasEdge reports whether view v holds the edge {a, b}.
+func hasEdge(v interface {
+	ProbeEdge(a, b graph.VertexID) (any, bool)
+}, a, b graph.VertexID) bool {
+	_, ok := v.ProbeEdge(a, b)
+	return ok
 }
 
 // TestPropertyRandomOps drives the reservoir through random
@@ -197,9 +220,9 @@ func TestPropertyRandomOps(t *testing.T) {
 	}
 }
 
-// TestPropertyViewConsistency checks that the pattern.View surface (HasEdge,
-// Degree, ForEachNeighbor) and the ItemView payloads stay consistent with the
-// stored items under churn.
+// TestPropertyViewConsistency checks that the pattern.ItemView surface
+// (ProbeEdge, Degree, ForEachNeighborItem) and its payloads stay consistent
+// with the stored items under churn.
 func TestPropertyViewConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	r := New(32)
@@ -217,9 +240,6 @@ func TestPropertyViewConsistency(t *testing.T) {
 			live[e] = true
 		}
 		for le := range live {
-			if !r.HasEdge(le.U, le.V) {
-				t.Fatalf("op %d: live edge %v not visible", op, le)
-			}
 			p, ok := r.ProbeEdge(le.U, le.V)
 			if !ok || p.(*Item).Edge != le {
 				t.Fatalf("op %d: ProbeEdge(%v) payload mismatch", op, le)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -288,7 +289,7 @@ func RBFSOrder(edges []graph.Edge, rng *rand.Rand) []graph.Edge {
 		vertices = append(vertices, v)
 	}
 	// Deterministic base order before shuffling so output depends only on rng.
-	sortVertices(vertices)
+	slices.Sort(vertices)
 	rng.Shuffle(len(vertices), func(i, j int) { vertices[i], vertices[j] = vertices[j], vertices[i] })
 
 	visited := make(map[graph.VertexID]bool, len(vertices))
@@ -322,14 +323,6 @@ func RBFSOrder(edges []graph.Edge, rng *rand.Rand) []graph.Edge {
 		}
 	}
 	return out
-}
-
-func sortVertices(vs []graph.VertexID) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
 }
 
 // Write serializes the stream in a line-oriented text format:

@@ -2,11 +2,14 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -187,6 +190,21 @@ func TestRBFSOrderCoversDisconnected(t *testing.T) {
 	out := RBFSOrder(edges, rand.New(rand.NewSource(5)))
 	if len(out) != 2 {
 		t.Fatalf("disconnected components not covered: %v", out)
+	}
+}
+
+// TestRBFSOrderPinned pins a seeded RBFSOrder output on a Holme-Kim graph
+// by an FNV-64a fingerprint of its edge list: the order depends only on the
+// generator's and the shuffle's seeds.
+func TestRBFSOrderPinned(t *testing.T) {
+	edges := gen.HolmeKim(2000, 4, 0.5, rand.New(rand.NewSource(9)))
+	out := RBFSOrder(edges, rand.New(rand.NewSource(11)))
+	h := fnv.New64a()
+	for _, e := range out {
+		fmt.Fprintf(h, "%d %d\n", e.U, e.V)
+	}
+	if len(out) != 7990 || h.Sum64() != 0x33a02e3d50a19c85 {
+		t.Fatalf("RBFSOrder gave %d edges with fingerprint %016x, want 7990 and 33a02e3d50a19c85", len(out), h.Sum64())
 	}
 }
 
