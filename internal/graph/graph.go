@@ -1,6 +1,7 @@
 // Package graph provides the core data model shared by every subsystem:
-// vertex identifiers, normalized undirected edges, and dynamic adjacency
-// structures used both by exact counters and by sampled-graph views.
+// vertex identifiers, normalized undirected edges, and the one dynamic
+// adjacency store, Rows, under both the sampled reservoir and the exact and
+// baseline graphs (AdjSet).
 package graph
 
 import (
