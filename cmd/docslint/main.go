@@ -1,5 +1,5 @@
 // Command docslint is the documentation gate behind `make docs-check`. It
-// enforces six invariants the prose documentation system depends on:
+// enforces seven invariants the prose documentation system depends on:
 //
 //  1. Every exported identifier in the facade package (the module root) has
 //     a doc comment — the facade is the supported API surface, and an
@@ -23,6 +23,10 @@
 //     of the facade package, so a removed or renamed facade API cannot live
 //     on in the guides. ROADMAP.md and CHANGES.md are history, not guides,
 //     and are not checked.
+//  7. Every fuzz target in the module (a func Fuzz* in a _test.go file) is
+//     an entry of the Makefile's FUZZ_TARGETS list, which `make fuzz-smoke`
+//     runs, and every entry names a fuzz target that exists — so no fuzz
+//     target goes unrun, and the list cannot keep a deleted one.
 //
 // It prints one line per violation and exits 1 if any were found.
 //
@@ -45,6 +49,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 func main() {
@@ -56,23 +61,10 @@ func main() {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
 
-	if err := lintFacadeExports(*root, report); err != nil {
-		fatal(err)
-	}
-	if err := lintPackageDocs(*root, report); err != nil {
-		fatal(err)
-	}
-	if err := lintMarkdownLinks(*root, report); err != nil {
-		fatal(err)
-	}
-	if err := lintFlagDocs(*root, report); err != nil {
-		fatal(err)
-	}
-	if err := lintRouteDocs(*root, report); err != nil {
-		fatal(err)
-	}
-	if err := lintFacadeRefs(*root, report); err != nil {
-		fatal(err)
+	for _, lint := range lints {
+		if err := lint(*root, report); err != nil {
+			fatal(err)
+		}
 	}
 
 	sort.Strings(problems)
@@ -83,6 +75,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docslint: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
+}
+
+// lints are the checks, in the order the package comment lists them.
+var lints = []func(root string, report func(string, ...any)) error{
+	lintFacadeExports, lintPackageDocs, lintMarkdownLinks,
+	lintFlagDocs, lintRouteDocs, lintFacadeRefs, lintFuzzTargets,
 }
 
 func fatal(err error) {
@@ -548,4 +546,91 @@ func lintMarkdownLinks(root string, report func(string, ...any)) error {
 			}
 		}
 	})
+}
+
+// fuzzList matches the Makefile's FUZZ_TARGETS assignment, backslash
+// continuations included; group 1 is its value.
+var fuzzList = regexp.MustCompile(`(?m)^FUZZ_TARGETS[ \t]*=((?:.*\\\n)*.*)`)
+
+// lintFuzzTargets checks the Makefile's FUZZ_TARGETS list against the fuzz
+// targets in the module's test files, both ways. An entry is package:Target,
+// the package as a ./-relative directory (. for the root).
+func lintFuzzTargets(root string, report func(string, ...any)) error {
+	makefile := filepath.Join(root, "Makefile")
+	data, err := os.ReadFile(makefile)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	listed := map[string]bool{}
+	if m := fuzzList.FindSubmatch(data); m != nil {
+		for _, entry := range strings.Fields(strings.ReplaceAll(string(m[1]), "\\\n", " ")) {
+			dir, name, _ := strings.Cut(entry, ":")
+			listed[fuzzEntry(dir, name)] = true
+		}
+	}
+	found, err := fuzzTargets(root)
+	if err != nil {
+		return err
+	}
+	for _, t := range found {
+		if !listed[t] {
+			report("%s: fuzz target %s is not in FUZZ_TARGETS", makefile, t)
+		}
+		delete(listed, t)
+	}
+	for t := range listed {
+		report("%s: FUZZ_TARGETS entry %s names no fuzz target", makefile, t)
+	}
+	return nil
+}
+
+// fuzzEntry renders a fuzz target as a FUZZ_TARGETS entry: ./dir:Name, or
+// .:Name at the root.
+func fuzzEntry(dir, name string) string {
+	if dir = filepath.ToSlash(filepath.Clean(dir)); dir != "." {
+		dir = "./" + dir
+	}
+	return dir + ":" + name
+}
+
+// fuzzTargets returns every fuzz target in the test files under root as a
+// FUZZ_TARGETS entry. A fuzz target is what go test runs with -fuzz: a
+// top-level func named Fuzz, or Fuzz followed by a character that is not a
+// lower-case letter.
+func fuzzTargets(root string) ([]string, error) {
+	var targets []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil // a parse error is the build's problem
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			if rest, ok := strings.CutPrefix(fn.Name.Name, "Fuzz"); ok && (rest == "" || !unicode.IsLower([]rune(rest)[0])) {
+				targets = append(targets, fuzzEntry(dir, fn.Name.Name))
+			}
+		}
+		return nil
+	})
+	sort.Strings(targets)
+	return targets, err
 }

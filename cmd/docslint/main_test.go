@@ -380,28 +380,57 @@ var testOnly = "GET /not-a-route"
 	}
 }
 
+// TestFuzzTargetsLint: a fuzz target missing from FUZZ_TARGETS and an entry
+// naming no fuzz target are both reported; a listed target (at the root and
+// in a subpackage), a Fuzzy helper and a method named Fuzz are not.
+func TestFuzzTargetsLint(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "Makefile", "GO ?= go\n\nFUZZ_TARGETS = \\\n\t.:FuzzRoot \\\n\t./internal/a:FuzzListed ./internal/a:FuzzGone \\\n\t./internal/b:FuzzMoved\n\nfuzz-smoke:\n\techo FUZZ_TARGETS = ./x:FuzzNot\n")
+	write(t, root, "root_test.go", "package root\n\nimport \"testing\"\n\nfunc FuzzRoot(f *testing.F) {}\n")
+	write(t, root, "internal/a/a_test.go", `package a
+
+import "testing"
+
+func FuzzListed(f *testing.F) {}
+
+func FuzzUnlisted(f *testing.F) {}
+
+func Fuzzy() {}
+
+type T struct{}
+
+func (T) FuzzMethod() {}
+`)
+	write(t, root, "internal/c/c_test.go", "package c\n\nimport \"testing\"\n\nfunc FuzzMoved(f *testing.F) {}\n")
+	write(t, root, "internal/a/testdata/x_test.go", "package x\n\nfunc FuzzIgnored() {}\n")
+	report, problems := collect()
+	if err := lintFuzzTargets(root, report); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(*problems, "\n")
+	for _, want := range []string{
+		"fuzz target ./internal/a:FuzzUnlisted is not in FUZZ_TARGETS",
+		"fuzz target ./internal/c:FuzzMoved is not in FUZZ_TARGETS",
+		"entry ./internal/a:FuzzGone names no fuzz target",
+		"entry ./internal/b:FuzzMoved names no fuzz target",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("lint missed %q in:\n%s", want, got)
+		}
+	}
+	if len(*problems) != 4 {
+		t.Fatalf("problems = %v, want exactly the 4 above", *problems)
+	}
+}
+
 // TestRepositoryIsClean runs the linter over the real repository: the gate CI
 // enforces, as a test, so `go test ./...` catches doc rot even without make.
 func TestRepositoryIsClean(t *testing.T) {
-	root := "../.."
 	report, problems := collect()
-	if err := lintFacadeExports(root, report); err != nil {
-		t.Fatal(err)
-	}
-	if err := lintPackageDocs(root, report); err != nil {
-		t.Fatal(err)
-	}
-	if err := lintMarkdownLinks(root, report); err != nil {
-		t.Fatal(err)
-	}
-	if err := lintFlagDocs(root, report); err != nil {
-		t.Fatal(err)
-	}
-	if err := lintRouteDocs(root, report); err != nil {
-		t.Fatal(err)
-	}
-	if err := lintFacadeRefs(root, report); err != nil {
-		t.Fatal(err)
+	for _, lint := range lints {
+		if err := lint("../..", report); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, p := range *problems {
 		t.Error(p)

@@ -72,7 +72,9 @@ func suiteTable(rep *benchsuite.Report) *experiment.Table {
 }
 
 // runCompare implements -compare: load two reports, diff, print, and exit
-// non-zero on regression.
+// non-zero on regression. Reports recorded at a different seed or trial
+// count are refused: their MREs average different trial seeds, so no cell's
+// MRE could match the baseline's bit for bit.
 func runCompare(oldPath, newPath string, tol benchsuite.Tolerances) int {
 	load := func(path string) *benchsuite.Report {
 		data, err := os.ReadFile(path)
@@ -88,6 +90,14 @@ func runCompare(oldPath, newPath string, tol benchsuite.Tolerances) int {
 		return rep
 	}
 	base, next := load(oldPath), load(newPath)
+	if base.Seed != next.Seed {
+		fmt.Fprintf(os.Stderr, "wsdbench: %s has seed %d, the baseline %s has %d; rerun at the baseline's seed\n", newPath, next.Seed, oldPath, base.Seed)
+		return 2
+	}
+	if base.Trials != next.Trials {
+		fmt.Fprintf(os.Stderr, "wsdbench: %s has trials %d, the baseline %s has %d; rerun at the baseline's trial count\n", newPath, next.Trials, oldPath, base.Trials)
+		return 2
+	}
 	regs := benchsuite.Compare(base, next, tol)
 	fmt.Printf("comparing %s (base) vs %s\n%s", oldPath, newPath, benchsuite.FormatComparison(base, next, regs))
 	if len(regs) > 0 {

@@ -111,7 +111,7 @@ func measureSteadyAllocs(t *testing.T, c *Counter, block []stream.Event) float64
 	for i := 0; i < 3; i++ {
 		for _, ev := range block {
 			c.Process(ev)
-			completed = completed || c.LastState().Instances > 0
+			completed = completed || c.lastState.Instances > 0
 		}
 	}
 	if !completed {

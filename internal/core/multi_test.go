@@ -119,8 +119,8 @@ func TestMultiPrimaryMatchesSingleUnderHeuristic(t *testing.T) {
 		if multi.Estimate() != single.Estimate() {
 			t.Fatalf("primary %s: multi estimate %v, single %v", primary, multi.Estimate(), single.Estimate())
 		}
-		tp, tq := multi.Thresholds()
-		stp, stq := single.Thresholds()
+		tp, tq := multi.tauP, multi.tauQ
+		stp, stq := single.tauP, single.tauQ
 		if tp != stp || tq != stq {
 			t.Fatalf("primary %s: thresholds (%v,%v) vs single (%v,%v)", primary, tp, tq, stp, stq)
 		}
@@ -233,8 +233,8 @@ func TestMultiSnapshotBitIdenticalResume(t *testing.T) {
 				t.Fatalf("%s: %s estimate %v, uninterrupted %v", name, k, got, want)
 			}
 		}
-		tp, tq := c.Thresholds()
-		wtp, wtq := whole.Thresholds()
+		tp, tq := c.tauP, c.tauQ
+		wtp, wtq := whole.tauP, whole.tauQ
 		if tp != wtp || tq != wtq || c.SampleSize() != whole.SampleSize() {
 			t.Fatalf("%s: thresholds/sample (%v,%v,%d) vs (%v,%v,%d)",
 				name, tp, tq, c.SampleSize(), wtp, wtq, whole.SampleSize())

@@ -43,8 +43,8 @@ func TestMultiPrimaryMatchesSingleWithTemporalFeatures(t *testing.T) {
 		if got, want := multi.Estimate(), single.Estimate(); got != want {
 			t.Fatalf("after event %d: primary estimate %v, single-pattern %v", lo+len(b), got, want)
 		}
-		tp, tq := multi.Thresholds()
-		stp, stq := single.Thresholds()
+		ms, ss := multi.Snapshot(), single.Snapshot()
+		tp, tq, stp, stq := ms.TauP, ms.TauQ, ss.TauP, ss.TauQ
 		if tp != stp || tq != stq || multi.SampleSize() != single.SampleSize() {
 			t.Fatalf("after event %d: thresholds/sample (%v,%v,%d), single-pattern (%v,%v,%d)",
 				lo+len(b), tp, tq, multi.SampleSize(), stp, stq, single.SampleSize())

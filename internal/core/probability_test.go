@@ -72,7 +72,7 @@ func TestInclusionProbabilityModel(t *testing.T) {
 				idx++
 			}
 		}
-		_, tauQ := c.Thresholds()
+		tauQ := c.tauQ
 		for _, e := range tracked {
 			if _, ok := c.Reservoir().Get(e); ok {
 				incl[e]++

@@ -11,7 +11,7 @@ import (
 // TestSkipTemporalInvariants pins the SkipTemporal contract: with identical
 // seeds the estimate trajectory is bit-identical to the full-state counter
 // (the temporal features feed nothing the heuristic weights read), and
-// LastState().Temporal stays all-zero.
+// lastState.Temporal stays all-zero.
 func TestSkipTemporalInvariants(t *testing.T) {
 	build := func(skip bool) *Counter {
 		c, err := New(Config{
@@ -35,13 +35,13 @@ func TestSkipTemporalInvariants(t *testing.T) {
 			t.Fatalf("event %d: SkipTemporal changed the estimate: %v vs %v",
 				i, lite.Estimate(), full.Estimate())
 		}
-		for j, v := range lite.LastState().Temporal {
+		for j, v := range lite.lastState.Temporal {
 			if v != 0 {
 				t.Fatalf("event %d: SkipTemporal left Temporal[%d] = %v, want all-zero", i, j, v)
 			}
 		}
 	}
-	if lite.LastState().Instances == 0 && full.LastState().Instances != 0 {
+	if lite.lastState.Instances == 0 && full.lastState.Instances != 0 {
 		t.Fatal("SkipTemporal must keep the topological features")
 	}
 }

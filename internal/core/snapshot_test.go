@@ -96,8 +96,8 @@ func TestSnapshotBitIdenticalResume(t *testing.T) {
 			t.Fatalf("cut %d: sample sizes diverge: %d != %d",
 				cut, restored.SampleSize(), uninterrupted.SampleSize())
 		}
-		tp1, tq1 := uninterrupted.Thresholds()
-		tp2, tq2 := restored.Thresholds()
+		tp1, tq1 := uninterrupted.tauP, uninterrupted.tauQ
+		tp2, tq2 := restored.tauP, restored.tauQ
 		if tp1 != tp2 || tq1 != tq2 {
 			t.Fatalf("cut %d: thresholds diverge: (%v,%v) != (%v,%v)", cut, tp2, tq2, tp1, tq1)
 		}
@@ -147,8 +147,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored state differs: est %v vs %v, size %d vs %d",
 			restored.Estimate(), orig.Estimate(), restored.SampleSize(), orig.SampleSize())
 	}
-	tp1, tq1 := orig.Thresholds()
-	tp2, tq2 := restored.Thresholds()
+	tp1, tq1 := orig.tauP, orig.tauQ
+	tp2, tq2 := restored.tauP, restored.tauQ
 	if tp1 != tp2 || tq1 != tq2 {
 		t.Fatalf("thresholds differ: (%v,%v) vs (%v,%v)", tp1, tq1, tp2, tq2)
 	}
@@ -266,8 +266,8 @@ func TestLegacySnapshotsResumeBitIdentical(t *testing.T) {
 			if !slices.Equal(got, whole.Estimates()) || !slices.Equal(got, finals[tc.name]) {
 				t.Fatalf("restored estimates %v, uninterrupted %v, recorded %v", got, whole.Estimates(), finals[tc.name])
 			}
-			tp, tq := restored.Thresholds()
-			wtp, wtq := whole.Thresholds()
+			tp, tq := restored.tauP, restored.tauQ
+			wtp, wtq := whole.tauP, whole.tauQ
 			if tp != wtp || tq != wtq || restored.SampleSize() != whole.SampleSize() {
 				t.Fatalf("thresholds/sample (%v,%v,%d), uninterrupted (%v,%v,%d)",
 					tp, tq, restored.SampleSize(), wtp, wtq, whole.SampleSize())

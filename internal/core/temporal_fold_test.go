@@ -70,7 +70,7 @@ func TestTemporalFoldEquivalence(t *testing.T) {
 						for i, ev := range s {
 							sink.Process(ev)
 							mat.Process(ev)
-							a, b := sink.LastState(), mat.LastState()
+							a, b := sink.lastState, mat.lastState
 							if a.Instances != b.Instances || a.DegU != b.DegU || a.DegV != b.DegV || a.Now != b.Now {
 								t.Fatalf("seed %d, event %d: sink state %+v, materialized %+v", seed, i, a, b)
 							}

@@ -200,8 +200,8 @@ func resumeCheck(t *testing.T, cfg Config, s stream.Stream, splitAt int) {
 	if c.Estimate() != r.Estimate() {
 		t.Fatalf("restored estimate %v diverged from uninterrupted %v", r.Estimate(), c.Estimate())
 	}
-	cp, cq := c.Thresholds()
-	rp, rq := r.Thresholds()
+	cp, cq := c.tauP, c.tauQ
+	rp, rq := r.tauP, r.tauQ
 	if cp != rp || cq != rq {
 		t.Fatalf("restored thresholds (%v,%v) diverged from (%v,%v)", rp, rq, cp, cq)
 	}

@@ -66,7 +66,7 @@ type Config struct {
 	// state so a restored counter resumes bit-identically).
 	Rng Rand
 	// SkipTemporal, when set, skips computing the temporal state features
-	// v_1..v_|H| (Eq. 20): LastState().Temporal stays all-zero. The
+	// v_1..v_|H| (Eq. 20): the weight sees an all-zero State.Temporal. The
 	// topological features (Instances, DegU, DegV, Now) are unaffected, so
 	// every built-in heuristic weight — which reads only those — produces
 	// identical weights, identical sampling decisions, and identical
@@ -327,15 +327,6 @@ func (c *Counter) EstimatesInto(dst []float64) []float64 {
 
 // SampleSize returns the current number of sampled edges.
 func (c *Counter) SampleSize() int { return c.res.Len() }
-
-// Thresholds returns the current (tau_p, tau_q) pair, exposed for tests of
-// Lemma 1's invariants.
-func (c *Counter) Thresholds() (tauP, tauQ float64) { return c.tauP, c.tauQ }
-
-// LastState returns the MDP state computed for the most recent insertion
-// event, built from the primary pattern. The Temporal slice is reused across
-// events; callers that retain it must copy.
-func (c *Counter) LastState() weights.State { return c.lastState }
 
 // Reservoir exposes the underlying reservoir for analysis (e.g. the
 // weight-relationship experiment). Callers must not mutate it.

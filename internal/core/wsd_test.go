@@ -135,7 +135,7 @@ func TestThresholdInvariants(t *testing.T) {
 		if c.SampleSize() > 50 {
 			t.Fatalf("event %d: reservoir exceeded M: %d", i, c.SampleSize())
 		}
-		tp, tq := c.Thresholds()
+		tp, tq := c.tauP, c.tauQ
 		if tq > tp && tp > 0 {
 			t.Fatalf("event %d: tau_q %v > tau_p %v", i, tq, tp)
 		}
@@ -257,7 +257,7 @@ func TestStateFeatures(t *testing.T) {
 	for _, e := range evs {
 		c.Process(stream.Event{Op: stream.Insert, Edge: e})
 	}
-	st := c.LastState()
+	st := c.lastState
 	if st.Instances != 2 {
 		t.Fatalf("Instances = %d, want 2", st.Instances)
 	}
@@ -291,7 +291,7 @@ func TestStateFeaturesAvg(t *testing.T) {
 	} {
 		c.Process(stream.Event{Op: stream.Insert, Edge: e})
 	}
-	st := c.LastState()
+	st := c.lastState
 	// Avg aggregation: v1 = (1+3)/2 = 2, v2 = (2+4)/2 = 3, v3 = 5.
 	want := []float64{2, 3, 5}
 	for j, v := range want {

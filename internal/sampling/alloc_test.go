@@ -34,7 +34,7 @@ func steadyAllocsPerEvent(c counter, s stream.Stream) float64 {
 // instance callbacks once, so the estimator update allocates nothing, and
 // the samples' adjacency (graph.AdjSet) keeps its rows in reused slabs; what
 // remains is map growth and WRS's waiting-room queue. Measured: ThinkD
-// 0.0006, TRIEST-FD 0.0006 to 0.0011, WRS 0.0042, GPS and GPS-A under
+// 0.0006, TRIEST-FD 0.0006 to 0.0011, WRS 0.0039, GPS and GPS-A under
 // 0.001. A closure built per event, or an allocation per adjacency change,
 // breaks these bounds.
 func TestBaselineAllocsPerEvent(t *testing.T) {

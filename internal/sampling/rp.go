@@ -15,7 +15,8 @@ import (
 // future insertions with past deletions.
 //
 // The sample's adjacency doubles as a pattern.ItemView for estimator
-// enumeration.
+// enumeration. WRS also links its waiting room's edges into it, so it holds
+// every edge WRS stores.
 type rpSample struct {
 	m     int
 	rng   *rand.Rand

@@ -345,9 +345,10 @@ func TestWRSTombstoneCompaction(t *testing.T) {
 			c.Process(stream.Event{Op: stream.Delete, Edge: edges[i-1]})
 		}
 	}
-	// Every edge in wrSet must also be in stored; sizes must stay bounded.
+	// Every edge in wrSet must also be in the stored adjacency; sizes must
+	// stay bounded.
 	for e := range c.wrSet {
-		if !c.stored.Has(e) {
+		if !c.rp.adj.Has(e) {
 			t.Fatalf("waiting-room edge %v missing from stored graph", e)
 		}
 	}

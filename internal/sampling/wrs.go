@@ -29,8 +29,7 @@ type WRS struct {
 	wrCap    int
 	wrQueue  []graph.Edge // FIFO with tombstones
 	wrSet    map[graph.Edge]struct{}
-	rp       *rpSample
-	stored   *graph.AdjSet // waiting room + reservoir-sampled edges
+	rp       *rpSample // its adjacency also links the waiting room's edges
 	estimate float64
 	enum     *enumerator
 	sign     float64 // the current event's direction, read by observe
@@ -56,15 +55,12 @@ func NewWRS(cfg WRSConfig) (*WRS, error) {
 		return nil, fmt.Errorf("sampling: WRS reservoir share %d below pattern size; lower alpha or raise M", resCap)
 	}
 	w := &WRS{
-		cfg:    cfg,
-		wrCap:  wrCap,
-		wrSet:  make(map[graph.Edge]struct{}, wrCap),
-		rp:     newRPSample(resCap, cfg.Rng),
-		stored: graph.NewAdjSet(),
+		cfg:   cfg,
+		wrCap: wrCap,
+		wrSet: make(map[graph.Edge]struct{}, wrCap),
+		rp:    newRPSample(resCap, cfg.Rng),
 	}
 	w.enum = newEnumerator(cfg.Pattern, w.observe)
-	w.rp.onAdd = func(e graph.Edge) { w.stored.Add(e) }
-	w.rp.onRemove = func(e graph.Edge) { w.stored.Remove(e) }
 	return w, nil
 }
 
@@ -85,7 +81,7 @@ func (w *WRS) Process(ev stream.Event) {
 	}
 	switch ev.Op {
 	case stream.Insert:
-		if w.stored.Has(ev.Edge) {
+		if w.rp.adj.Has(ev.Edge) {
 			return
 		}
 		w.updateEstimate(ev.Edge, +1)
@@ -101,7 +97,7 @@ func (w *WRS) Process(ev stream.Event) {
 // its reservoir-resident edges (waiting-room edges are deterministic).
 func (w *WRS) updateEstimate(e graph.Edge, sign float64) {
 	w.sign = sign
-	w.enum.run(w.stored, e)
+	w.enum.run(w.rp.adj, e)
 }
 
 // observe is updateEstimate's per-instance callback.
@@ -123,7 +119,7 @@ func (w *WRS) observe(others []graph.Edge, _ []any) bool {
 func (w *WRS) admit(e graph.Edge) {
 	w.wrQueue = append(w.wrQueue, e)
 	w.wrSet[e] = struct{}{}
-	w.stored.Add(e)
+	w.rp.adj.Add(e)
 	for len(w.wrSet) > w.wrCap {
 		old, ok := w.popOldest()
 		if !ok {
@@ -132,7 +128,7 @@ func (w *WRS) admit(e graph.Edge) {
 		// The spilled edge leaves deterministic storage and joins the
 		// reservoir's population; random pairing decides whether it stays
 		// sampled.
-		w.stored.Remove(old)
+		w.rp.adj.Remove(old)
 		w.rp.insert(old)
 	}
 }
@@ -158,7 +154,7 @@ func (w *WRS) evictDeleted(e graph.Edge) {
 		// Deleted while in the waiting room: it never entered the reservoir
 		// population, so random pairing is not involved.
 		delete(w.wrSet, e)
-		w.stored.Remove(e)
+		w.rp.adj.Remove(e)
 		return
 	}
 	// The edge left the waiting room earlier (every insertion passes through

@@ -190,7 +190,7 @@ func (m *ringModel) expire(cutoff int64) []graph.Edge {
 // TestRingExpiryOrderProperty runs randomized push/kill/expire histories
 // against the linear-scan model: live membership, expiry output (order
 // included — expiry replays deletions in insertion order), and pending
-// snapshot entries must all agree. Run under -race by the window-smoke job.
+// snapshot entries must all agree. `make race` runs it under -race.
 func TestRingExpiryOrderProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
