@@ -1,11 +1,11 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -377,12 +377,16 @@ func WeightRelationship(id string, sc Scenario, prof Profile) (*WeightRelResult,
 		if !ok {
 			continue // edge deleted before stream end
 		}
-		pts = append(pts, wtPoint{w: s / float64(cnt[e]), tri: float64(tri)})
+		pts = append(pts, wtPoint{e: e, w: s / float64(cnt[e]), tri: float64(tri)})
 	}
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("experiment: weight relationship produced no samples")
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].w < pts[j].w })
+	// Most edges tie on weight, so ties break by edge: the buckets and the
+	// Pearson sum then see one order, not the map's.
+	slices.SortFunc(pts, func(a, b wtPoint) int {
+		return cmp.Or(cmp.Compare(a.w, b.w), cmp.Compare(a.e.U, b.e.U), cmp.Compare(a.e.V, b.e.V))
+	})
 
 	res := &WeightRelResult{Table: &Table{
 		ID:     id,
@@ -413,7 +417,10 @@ func WeightRelationship(id string, sc Scenario, prof Profile) (*WeightRelResult,
 	return res, nil
 }
 
-type wtPoint struct{ w, tri float64 }
+type wtPoint struct {
+	e      graph.Edge
+	w, tri float64
+}
 
 func pearson(pts []wtPoint) float64 {
 	n := float64(len(pts))

@@ -143,18 +143,6 @@ func computeTruth(s stream.Stream, k pattern.Kind, checkpoints int) truthTimelin
 	return tl
 }
 
-var truthCache sync.Map
-
-func truthFor(s stream.Stream, k pattern.Kind, checkpoints int) truthTimeline {
-	key := fmt.Sprintf("%p/%d/%v/%d", &s[0], len(s), k, checkpoints)
-	if v, ok := truthCache.Load(key); ok {
-		return v.(truthTimeline)
-	}
-	tl := computeTruth(s, k, checkpoints)
-	actual, _ := truthCache.LoadOrStore(key, tl)
-	return actual.(truthTimeline)
-}
-
 // NewCounter constructs the counter for an algorithm. Exposed so the facade,
 // examples and CLIs share one factory.
 func NewCounter(cfg RunConfig, rng *rand.Rand) (Counter, error) {
@@ -206,7 +194,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if cfg.Checkpoints <= 0 {
 		cfg.Checkpoints = 50
 	}
-	tl := truthFor(cfg.Stream, cfg.Pattern, cfg.Checkpoints)
+	tl := computeTruth(cfg.Stream, cfg.Pattern, cfg.Checkpoints)
 
 	ares := make([]float64, cfg.Trials)
 	mares := make([]float64, cfg.Trials)

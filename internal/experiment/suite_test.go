@@ -2,9 +2,15 @@ package experiment
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// smokeProfile is the tiny profile the whole-suite tests run at.
+func smokeProfile() Profile {
+	return Profile{Trials: 1, Checkpoints: 5, TrainIterations: 5, TrainStreams: 1, Seed: 1}
+}
 
 // TestSuiteGeneratorsSmoke exercises every table/figure generator end to end
 // with a tiny profile. It validates wiring (dataset resolution, policy
@@ -14,7 +20,7 @@ func TestSuiteGeneratorsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow harness smoke test")
 	}
-	prof := Profile{Trials: 1, Checkpoints: 5, TrainIterations: 5, TrainStreams: 1, Seed: 1}
+	prof := smokeProfile()
 
 	t.Run("table4", func(t *testing.T) {
 		r, err := Table4(prof)
@@ -202,7 +208,7 @@ func TestGetTableAccessors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("depends on the smoke suite's cached artifacts")
 	}
-	prof := Profile{Trials: 1, Checkpoints: 5, TrainIterations: 5, TrainStreams: 1, Seed: 1}
+	prof := smokeProfile()
 	r, err := Table6(prof)
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +216,49 @@ func TestGetTableAccessors(t *testing.T) {
 	out := r.GetTable().String()
 	if !strings.Contains(out, "Table VI") {
 		t.Fatalf("rendered output missing title:\n%s", out)
+	}
+}
+
+// TestFig2aStableAcrossBuilds: Fig. 2(a) builds its three ordering streams
+// afresh on every call, so a later build's streams can be allocated where an
+// earlier build's freed ones lived. Each stream must still be scored against
+// its own exact counts: the table is the same however many times it is built.
+func TestFig2aStableAcrossBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds Fig. 2(a) five times")
+	}
+	var first string
+	for i := range 5 {
+		r, err := Fig2a(smokeProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.GetTable().String(); i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("build %d differs from build 0:\n%s\nwant:\n%s", i, got, first)
+		}
+		runtime.GC()
+	}
+}
+
+// TestFig2dStableAcrossBuilds: most edges share Fig. 2(d)'s modal weight, so
+// the weight buckets must break ties the same way on every build.
+func TestFig2dStableAcrossBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds Fig. 2(d) twice")
+	}
+	var first string
+	for i := range 2 {
+		r, err := Fig2d(smokeProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.GetTable().String(); i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("second build differs:\n%s\nwant:\n%s", got, first)
+		}
 	}
 }
 
