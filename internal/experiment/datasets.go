@@ -1,8 +1,10 @@
 // Package experiment is the reproduction harness: it defines the dataset
 // registry standing in for the paper's evaluation graphs, the deletion
-// scenarios, the trial runner computing ARE/MARE/time per algorithm, the
-// policy training cache backing WSD-L, and one generator function per table
-// and figure of the paper, listed once in the experiment Registry.
+// scenarios, the trial runner computing ARE/MARE/time per algorithm, the one
+// grid runner that crosses a table's rows (streams) with its cells
+// (algorithms and their knobs), the policy training cache backing WSD-L, and
+// one generator function per table and figure of the paper, listed once in
+// the experiment Registry.
 package experiment
 
 import (

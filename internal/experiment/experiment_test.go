@@ -215,7 +215,7 @@ func TestAccuracyTableSmoke(t *testing.T) {
 		t.Skip("harness integration test")
 	}
 	prof := tinyProfile()
-	res, err := AccuracyTable("T-test", "smoke", pattern.Triangle, LightDefault(),
+	res, err := accuracyTable("T-test", "smoke", pattern.Triangle, LightDefault(),
 		datasetsByName("com-DB"), prof)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ type ScalabilityPoint struct {
 
 // ScalabilityResult is the series behind Fig. 1 (massive) / Fig. 3 (light).
 type ScalabilityResult struct {
-	Table  *Table
+	*Table
 	Points []ScalabilityPoint
 }
 
@@ -59,13 +59,21 @@ func scalabilityStream(sc Scenario, seed int64) stream.Stream {
 	return actual.(stream.Stream)
 }
 
-// Scalability reproduces Fig. 1 / Fig. 3: ARE and running time of WSD-L and
+// scalability reproduces Fig. 1 / Fig. 3: ARE and running time of WSD-L and
 // WSD-H over increasing stream sizes with a fixed reservoir.
-func Scalability(id string, sc Scenario, prof Profile) (*ScalabilityResult, error) {
+func scalability(id string, sc Scenario, prof Profile) (*ScalabilityResult, error) {
 	full := scalabilityStream(sc, prof.Seed)
 	const m = 800
-	sizes := []int{5000, 10000, 20000, 40000, 80000}
-	policy, _, err := TrainPolicy(mustDataset("syn-train"), pattern.Triangle, sc, core.AggMax, prof)
+	var rows []row
+	for _, size := range []int{5000, 10000, 20000, 40000, 80000} {
+		size = min(size, len(full))
+		rows = append(rows, row{label: fmt.Sprintf("%d", size), stream: full[:size], pattern: pattern.Triangle, m: m,
+			policy: learned(mustDataset("syn-train"), pattern.Triangle, sc, prof)})
+		if size == len(full) {
+			break
+		}
+	}
+	runs, err := grid(prof, rows, algoCells(AlgoWSDL, AlgoWSDH))
 	if err != nil {
 		return nil, err
 	}
@@ -74,174 +82,117 @@ func Scalability(id string, sc Scenario, prof Profile) (*ScalabilityResult, erro
 		Title:  fmt.Sprintf("scalability of counting triangles, %v deletion (M=%d)", sc.Kind, m),
 		Header: []string{"|S|", "ARE WSD-L", "ARE WSD-H", "Time WSD-L", "Time WSD-H"},
 	}}
-	for _, size := range sizes {
-		if size > len(full) {
-			size = len(full)
-		}
-		prefix := full[:size]
-		var point ScalabilityPoint
-		point.Events = size
-		for _, algo := range []Algo{AlgoWSDL, AlgoWSDH} {
-			cfg := RunConfig{
-				Stream: prefix, Pattern: pattern.Triangle, Algo: algo,
-				M: m, Trials: prof.Trials, Seed: prof.Seed, Checkpoints: prof.Checkpoints,
-			}
-			if algo == AlgoWSDL {
-				cfg.Policy = policy
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if algo == AlgoWSDL {
-				point.AREWSDL, point.SecWSDL = r.ARE.Mean, r.Seconds.Mean
-			} else {
-				point.AREWSDH, point.SecWSDH = r.ARE.Mean, r.Seconds.Mean
-			}
-		}
+	for i, r := range rows {
+		l, h := runs[i][0], runs[i][1]
+		point := ScalabilityPoint{Events: len(r.stream), AREWSDL: l.ARE.Mean, AREWSDH: h.ARE.Mean, SecWSDL: l.Seconds.Mean, SecWSDH: h.Seconds.Mean}
 		res.Points = append(res.Points, point)
-		res.Table.AddRow(fmt.Sprintf("%d", size),
-			pct(point.AREWSDL), pct(point.AREWSDH), secs(point.SecWSDL), secs(point.SecWSDH))
-		if size == len(full) {
-			break
-		}
+		res.AddRow(r.label, pct(point.AREWSDL), pct(point.AREWSDH), secs(point.SecWSDL), secs(point.SecWSDH))
 	}
 	return res, nil
 }
 
 // Fig1 reproduces Fig. 1 (massive deletion scalability).
 func Fig1(prof Profile) (*ScalabilityResult, error) {
-	return Scalability("Fig 1", MassiveDefault(), prof)
+	return scalability("Fig 1", MassiveDefault(), prof)
 }
 
 // Fig3 reproduces Fig. 3 (light deletion scalability).
 func Fig3(prof Profile) (*ScalabilityResult, error) {
-	return Scalability("Fig 3", LightDefault(), prof)
+	return scalability("Fig 3", LightDefault(), prof)
 }
 
-// OrderingResult is the grid behind Fig. 2(a) / Fig. 4(a): ARE per stream
-// ordering and algorithm.
-type OrderingResult struct {
-	Table *Table
-	ARE   map[string]map[Algo]float64 // ordering -> algo -> ARE
+// SweepResult is the grid behind a one-parameter sweep (Figs. 2a, 2b, 4a, 4b
+// and 5): the ARE of the six fully dynamic algorithms per x value.
+type SweepResult struct {
+	*Table
+	ARE map[string]map[Algo]float64 // x -> algo -> ARE
+	// Xs are the x values in row order: each row's label, behind its table
+	// section when it has one.
+	Xs []string
 }
 
-// Ordering reproduces Fig. 2(a) / Fig. 4(a): counting triangles on the
+// sweep runs the six fully dynamic algorithms over rows, one table row of
+// ARE per grid row under a header naming the x axis.
+func sweep(id, title, x string, rows []row, prof Profile) (*SweepResult, error) {
+	algos := FullyDynamicAlgos()
+	runs, err := grid(prof, rows, algoCells(algos...))
+	if err != nil {
+		return nil, err
+	}
+	res := &SweepResult{
+		Table: &Table{ID: id, Title: title, Header: append([]string{x}, algoNames(algos)...)},
+		ARE:   make(map[string]map[Algo]float64, len(rows)),
+	}
+	for i, r := range rows {
+		key := r.label
+		if r.section != "" {
+			if i == 0 || rows[i-1].section != r.section {
+				res.AddSection(r.section)
+			}
+			key = r.section + " " + r.label
+		}
+		perAlgo := make(map[Algo]float64, len(algos))
+		line := []string{r.label}
+		for j, algo := range algos {
+			perAlgo[algo] = runs[i][j].ARE.Mean
+			line = append(line, pct(runs[i][j].ARE.Mean))
+		}
+		res.ARE[key] = perAlgo
+		res.Xs = append(res.Xs, key)
+		res.AddRow(line...)
+	}
+	return res, nil
+}
+
+// ordering reproduces Fig. 2(a) / Fig. 4(a): counting triangles on the
 // citation test graph under natural, uniform-at-random and random-BFS stream
 // orderings.
-func Ordering(id string, sc Scenario, prof Profile) (*OrderingResult, error) {
+func ordering(id string, sc Scenario, prof Profile) (*SweepResult, error) {
 	ds := mustDataset("cit-PT")
 	base := ds.Edges(prof.Seed)
-	orderings := []struct {
+	var rows []row
+	for _, ord := range []struct {
 		name  string
 		edges []graph.Edge
 	}{
 		{"Natural", base},
 		{"UAR", stream.UAROrder(base, rand.New(rand.NewSource(prof.Seed+11)))},
 		{"RBFS", stream.RBFSOrder(base, rand.New(rand.NewSource(prof.Seed+22)))},
+	} {
+		rows = append(rows, row{label: ord.name, stream: sc.Build(ord.edges, rand.New(rand.NewSource(prof.Seed+33))),
+			pattern: pattern.Triangle, m: ds.DefaultM, policy: learned(ds, pattern.Triangle, sc, prof)})
 	}
-	policy, err := PolicyForTest(ds, pattern.Triangle, sc, prof)
-	if err != nil {
-		return nil, err
-	}
-	algos := FullyDynamicAlgos()
-	res := &OrderingResult{
-		Table: &Table{ID: id, Title: fmt.Sprintf("stream ordering on cit-PT, %v deletion (ARE, triangles)", sc.Kind),
-			Header: append([]string{"Ordering"}, algoNames(algos)...)},
-		ARE: make(map[string]map[Algo]float64),
-	}
-	for _, ord := range orderings {
-		st := sc.Build(ord.edges, rand.New(rand.NewSource(prof.Seed+33)))
-		perAlgo := make(map[Algo]float64, len(algos))
-		row := []string{ord.name}
-		for _, algo := range algos {
-			cfg := RunConfig{
-				Stream: st, Pattern: pattern.Triangle, Algo: algo,
-				M: ds.DefaultM, Trials: prof.Trials, Seed: prof.Seed, Checkpoints: prof.Checkpoints,
-			}
-			if algo == AlgoWSDL {
-				cfg.Policy = policy
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			perAlgo[algo] = r.ARE.Mean
-			row = append(row, pct(r.ARE.Mean))
-		}
-		res.ARE[ord.name] = perAlgo
-		res.Table.AddRow(row...)
-	}
-	return res, nil
+	return sweep(id, fmt.Sprintf("stream ordering on cit-PT, %v deletion (ARE, triangles)", sc.Kind), "Ordering", rows, prof)
 }
 
 // Fig2a reproduces Fig. 2(a).
-func Fig2a(prof Profile) (*OrderingResult, error) { return Ordering("Fig 2a", MassiveDefault(), prof) }
+func Fig2a(prof Profile) (*SweepResult, error) { return ordering("Fig 2a", MassiveDefault(), prof) }
 
 // Fig4a reproduces Fig. 4(a).
-func Fig4a(prof Profile) (*OrderingResult, error) { return Ordering("Fig 4a", LightDefault(), prof) }
+func Fig4a(prof Profile) (*SweepResult, error) { return ordering("Fig 4a", LightDefault(), prof) }
 
-// SweepResult is a generic one-parameter sweep grid: x value -> algo -> ARE.
-type SweepResult struct {
-	Table *Table
-	ARE   map[string]map[Algo]float64
-	Xs    []string
-}
-
-// ReservoirSweep reproduces Fig. 2(b) / Fig. 4(b): ARE of counting triangles
+// reservoirSweep reproduces Fig. 2(b) / Fig. 4(b): ARE of counting triangles
 // on the citation test graph as M grows from 1% to 5% of |E|.
-func ReservoirSweep(id string, sc Scenario, prof Profile) (*SweepResult, error) {
+func reservoirSweep(id string, sc Scenario, prof Profile) (*SweepResult, error) {
 	ds := mustDataset("cit-PT")
 	st := StreamFor(ds, sc, prof.Seed)
 	edges := ds.Edges(prof.Seed)
-	policy, err := PolicyForTest(ds, pattern.Triangle, sc, prof)
-	if err != nil {
-		return nil, err
-	}
-	algos := FullyDynamicAlgos()
-	res := &SweepResult{
-		Table: &Table{ID: id, Title: fmt.Sprintf("reservoir size sweep on cit-PT, %v deletion (ARE, triangles)", sc.Kind),
-			Header: append([]string{"M (%|E|)"}, algoNames(algos)...)},
-		ARE: make(map[string]map[Algo]float64),
-	}
+	var rows []row
 	for pctM := 1; pctM <= 5; pctM++ {
-		m := len(edges) * pctM / 100
-		if m < pattern.FourClique.Size() {
-			m = pattern.FourClique.Size()
-		}
-		label := fmt.Sprintf("%d%%", pctM)
-		perAlgo := make(map[Algo]float64, len(algos))
-		row := []string{label}
-		for _, algo := range algos {
-			cfg := RunConfig{
-				Stream: st, Pattern: pattern.Triangle, Algo: algo,
-				M: m, Trials: prof.Trials, Seed: prof.Seed, Checkpoints: prof.Checkpoints,
-			}
-			if algo == AlgoWSDL {
-				cfg.Policy = policy
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			perAlgo[algo] = r.ARE.Mean
-			row = append(row, pct(r.ARE.Mean))
-		}
-		res.ARE[label] = perAlgo
-		res.Xs = append(res.Xs, label)
-		res.Table.AddRow(row...)
+		rows = append(rows, row{label: fmt.Sprintf("%d%%", pctM), stream: st, pattern: pattern.Triangle,
+			m: max(len(edges)*pctM/100, pattern.FourClique.Size()), policy: learned(ds, pattern.Triangle, sc, prof)})
 	}
-	return res, nil
+	return sweep(id, fmt.Sprintf("reservoir size sweep on cit-PT, %v deletion (ARE, triangles)", sc.Kind), "M (%|E|)", rows, prof)
 }
 
 // Fig2b reproduces Fig. 2(b).
 func Fig2b(prof Profile) (*SweepResult, error) {
-	return ReservoirSweep("Fig 2b", MassiveDefault(), prof)
+	return reservoirSweep("Fig 2b", MassiveDefault(), prof)
 }
 
 // Fig4b reproduces Fig. 4(b).
 func Fig4b(prof Profile) (*SweepResult, error) {
-	return ReservoirSweep("Fig 4b", LightDefault(), prof)
+	return reservoirSweep("Fig 4b", LightDefault(), prof)
 }
 
 // TrainingSizePoint is one x-position of Fig. 2(c) / Fig. 4(c).
@@ -253,72 +204,60 @@ type TrainingSizePoint struct {
 
 // TrainingSizeResult is the series behind Fig. 2(c) / Fig. 4(c).
 type TrainingSizeResult struct {
-	Table  *Table
+	*Table
 	Points []TrainingSizePoint
 }
 
-// TrainingSize reproduces Fig. 2(c) / Fig. 4(c): training cost and resulting
+// trainingSize reproduces Fig. 2(c) / Fig. 4(c): training cost and resulting
 // test ARE as the Forest Fire training graph grows. The paper's takeaway —
 // training time grows sharply with training size while accuracy improves only
 // slightly — motivates training on graphs ~10-20% the size of the test graph.
-func TrainingSize(id string, sc Scenario, prof Profile) (*TrainingSizeResult, error) {
+func trainingSize(id string, sc Scenario, prof Profile) (*TrainingSizeResult, error) {
 	test := mustDataset("synthetic")
-	st := StreamFor(test, sc, prof.Seed)
+	sizes := []int{500, 1000, 2000, 4000}
+	cells := make([]cell, len(sizes))
+	trainSecs := make([]float64, len(sizes))
+	for i, n := range sizes {
+		edges := gen.ForestFire(n, 0.45, rand.New(rand.NewSource(prof.Seed+int64(n))))
+		policy, stats, err := trainOn(edges, sc, prof.Seed+int64(n), 1000,
+			rl.TrainConfig{Pattern: pattern.Triangle, M: max(len(edges)/25, 100)}, prof)
+		if err != nil {
+			return nil, err
+		}
+		cells[i], trainSecs[i] = cell{algo: AlgoWSDL, policy: policy}, stats.Elapsed.Seconds()
+	}
+	runs, err := grid(prof, []row{{label: test.Name, stream: StreamFor(test, sc, prof.Seed), pattern: pattern.Triangle, m: test.DefaultM}}, cells)
+	if err != nil {
+		return nil, err
+	}
 	res := &TrainingSizeResult{Table: &Table{
 		ID:     id,
 		Title:  fmt.Sprintf("training graph size sweep, %v deletion (triangles on synthetic)", sc.Kind),
 		Header: []string{"train n", "train time", "ARE"},
 	}}
-	for _, n := range []int{500, 1000, 2000, 4000} {
-		edges := gen.ForestFire(n, 0.45, rand.New(rand.NewSource(prof.Seed+int64(n))))
-		streams := make([]stream.Stream, prof.TrainStreams)
-		for i := range streams {
-			streams[i] = sc.Build(edges, rand.New(rand.NewSource(prof.Seed+int64(i*1000+n))))
-		}
-		m := len(edges) / 25
-		if m < 100 {
-			m = 100
-		}
-		policy, stats, err := rl.Train(rl.TrainConfig{
-			Pattern:    pattern.Triangle,
-			M:          m,
-			Streams:    streams,
-			Iterations: prof.TrainIterations,
-			Seed:       prof.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := Run(RunConfig{
-			Stream: st, Pattern: pattern.Triangle, Algo: AlgoWSDL,
-			M: test.DefaultM, Trials: prof.Trials, Seed: prof.Seed,
-			Checkpoints: prof.Checkpoints, Policy: policy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p := TrainingSizePoint{TrainVertices: n, TrainSeconds: stats.Elapsed.Seconds(), ARE: r.ARE.Mean}
+	for i, n := range sizes {
+		p := TrainingSizePoint{TrainVertices: n, TrainSeconds: trainSecs[i], ARE: runs[0][i].ARE.Mean}
 		res.Points = append(res.Points, p)
-		res.Table.AddRow(fmt.Sprintf("%d", n), secs(p.TrainSeconds), pct(p.ARE))
+		res.AddRow(fmt.Sprintf("%d", n), secs(p.TrainSeconds), pct(p.ARE))
 	}
 	return res, nil
 }
 
 // Fig2c reproduces Fig. 2(c).
 func Fig2c(prof Profile) (*TrainingSizeResult, error) {
-	return TrainingSize("Fig 2c", MassiveDefault(), prof)
+	return trainingSize("Fig 2c", MassiveDefault(), prof)
 }
 
 // Fig4c reproduces Fig. 4(c).
 func Fig4c(prof Profile) (*TrainingSizeResult, error) {
-	return TrainingSize("Fig 4c", LightDefault(), prof)
+	return trainingSize("Fig 4c", LightDefault(), prof)
 }
 
 // WeightRelResult is the data behind Fig. 2(d) / Fig. 4(d): the relationship
 // between an edge's mean learned weight and the number of triangles it
 // participates in by stream end.
 type WeightRelResult struct {
-	Table *Table
+	*Table
 	// Buckets are weight-quantile buckets with the mean triangle count of
 	// their edges.
 	Buckets []WeightBucket
@@ -334,10 +273,10 @@ type WeightBucket struct {
 	Edges         int
 }
 
-// WeightRelationship reproduces Fig. 2(d) / Fig. 4(d): run WSD-L repeatedly,
+// weightRelationship reproduces Fig. 2(d) / Fig. 4(d): run WSD-L repeatedly,
 // record the weight assigned to every arriving edge, average per edge, and
 // relate it to the edge's final triangle participation.
-func WeightRelationship(id string, sc Scenario, prof Profile) (*WeightRelResult, error) {
+func weightRelationship(id string, sc Scenario, prof Profile) (*WeightRelResult, error) {
 	ds := mustDataset("cit-PT")
 	st := StreamFor(ds, sc, prof.Seed)
 	policy, err := PolicyForTest(ds, pattern.Triangle, sc, prof)
@@ -407,13 +346,13 @@ func WeightRelationship(id string, sc Scenario, prof Profile) (*WeightRelResult,
 		n := float64(hi - lo)
 		bucket := WeightBucket{MeanWeight: bw / n, MeanTriangles: bt / n, Edges: hi - lo}
 		res.Buckets = append(res.Buckets, bucket)
-		res.Table.AddRow(fmt.Sprintf("Q%d", b+1),
+		res.AddRow(fmt.Sprintf("Q%d", b+1),
 			fmt.Sprintf("%.3f", bucket.MeanWeight),
 			fmt.Sprintf("%.2f", bucket.MeanTriangles),
 			fmt.Sprintf("%d", bucket.Edges))
 	}
 	res.Pearson = pearson(pts)
-	res.Table.Notes = append(res.Table.Notes, fmt.Sprintf("Pearson correlation: %.3f", res.Pearson))
+	res.Notes = append(res.Notes, fmt.Sprintf("Pearson correlation: %.3f", res.Pearson))
 	return res, nil
 }
 
@@ -445,83 +384,29 @@ func pearson(pts []wtPoint) float64 {
 
 // Fig2d reproduces Fig. 2(d).
 func Fig2d(prof Profile) (*WeightRelResult, error) {
-	return WeightRelationship("Fig 2d", MassiveDefault(), prof)
+	return weightRelationship("Fig 2d", MassiveDefault(), prof)
 }
 
 // Fig4d reproduces Fig. 4(d).
 func Fig4d(prof Profile) (*WeightRelResult, error) {
-	return WeightRelationship("Fig 4d", LightDefault(), prof)
-}
-
-// DeletionIntensityResult is the grid behind Fig. 5: ARE as beta_m / beta_l
-// grow.
-type DeletionIntensityResult struct {
-	Massive *SweepResult
-	Light   *SweepResult
-}
-
-// GetTable returns the massive sweep's table with the light sweep's rows
-// appended under a section label.
-func (r *DeletionIntensityResult) GetTable() *Table {
-	combined := *r.Massive.Table
-	combined.Rows = append(slices.Clip(combined.Rows), []string{"-- light --"})
-	combined.Rows = append(combined.Rows, r.Light.Table.Rows...)
-	return &combined
+	return weightRelationship("Fig 4d", LightDefault(), prof)
 }
 
 // Fig5 reproduces Fig. 5: counting triangles on cit-PT while varying the
-// deletion intensity parameters beta_m (massive) and beta_l (light).
-func Fig5(prof Profile) (*DeletionIntensityResult, error) {
+// deletion intensity parameters beta_m (massive) and beta_l (light); the
+// light rows follow the massive ones under their own section.
+func Fig5(prof Profile) (*SweepResult, error) {
 	ds := mustDataset("cit-PT")
-	algos := FullyDynamicAlgos()
-	out := &DeletionIntensityResult{}
-	for _, part := range []struct {
-		kind ScenarioKind
-		dst  **SweepResult
-	}{
-		{Massive, &out.Massive},
-		{Light, &out.Light},
-	} {
-		res := &SweepResult{
-			Table: &Table{ID: "Fig 5", Title: fmt.Sprintf("deletion intensity sweep on cit-PT, %v (ARE, triangles)", part.kind),
-				Header: append([]string{"beta"}, algoNames(algos)...)},
-			ARE: make(map[string]map[Algo]float64),
-		}
+	var rows []row
+	for _, kind := range []ScenarioKind{Massive, Light} {
 		for _, beta := range []float64{0, 0.2, 0.4, 0.6, 0.8} {
-			var sc Scenario
-			if part.kind == Massive {
-				sc = Scenario{Kind: Massive, BetaM: beta}
-			} else {
-				sc = Scenario{Kind: Light, BetaL: beta}
+			sc, section := Scenario{Kind: Massive, BetaM: beta}, ""
+			if kind == Light {
+				sc, section = Scenario{Kind: Light, BetaL: beta}, "light"
 			}
-			st := StreamFor(ds, sc, prof.Seed)
-			policy, err := PolicyForTest(ds, pattern.Triangle, sc, prof)
-			if err != nil {
-				return nil, err
-			}
-			label := fmt.Sprintf("%.1f", beta)
-			perAlgo := make(map[Algo]float64, len(algos))
-			row := []string{label}
-			for _, algo := range algos {
-				cfg := RunConfig{
-					Stream: st, Pattern: pattern.Triangle, Algo: algo,
-					M: ds.DefaultM, Trials: prof.Trials, Seed: prof.Seed, Checkpoints: prof.Checkpoints,
-				}
-				if algo == AlgoWSDL {
-					cfg.Policy = policy
-				}
-				r, err := Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				perAlgo[algo] = r.ARE.Mean
-				row = append(row, pct(r.ARE.Mean))
-			}
-			res.ARE[label] = perAlgo
-			res.Xs = append(res.Xs, label)
-			res.Table.AddRow(row...)
+			rows = append(rows, row{label: fmt.Sprintf("%.1f", beta), section: section, stream: StreamFor(ds, sc, prof.Seed),
+				pattern: pattern.Triangle, m: ds.DefaultM, policy: learned(ds, pattern.Triangle, sc, prof)})
 		}
-		*part.dst = res
 	}
-	return out, nil
+	return sweep("Fig 5", "deletion intensity sweep on cit-PT, massive (ARE, triangles)", "beta", rows, prof)
 }

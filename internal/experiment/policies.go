@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/rl"
 	"repro/internal/stream"
@@ -70,33 +71,42 @@ func TrainPolicy(train Dataset, pat pattern.Kind, sc Scenario, agg core.Temporal
 }
 
 func trainPolicy(train Dataset, pat pattern.Kind, sc Scenario, agg core.TemporalAgg, prof Profile) (*rl.Policy, rl.TrainStats, error) {
-	edges := train.Edges(prof.Seed)
-	streams := make([]stream.Stream, prof.TrainStreams)
-	for i := range streams {
-		rng := rand.New(rand.NewSource(prof.Seed + int64(i)*7919))
-		streams[i] = sc.Build(edges, rng)
-	}
-	policy, stats, err := rl.Train(rl.TrainConfig{
-		Pattern:     pat,
-		M:           train.DefaultM,
-		Streams:     streams,
-		Iterations:  prof.TrainIterations,
-		TemporalAgg: agg,
-		Seed:        prof.Seed,
-	})
+	policy, stats, err := trainOn(train.Edges(prof.Seed), sc, prof.Seed, 7919,
+		rl.TrainConfig{Pattern: pat, M: train.DefaultM, TemporalAgg: agg}, prof)
 	if err != nil {
 		return nil, stats, fmt.Errorf("experiment: training %s/%v/%v: %w", train.Name, pat, sc.Kind, err)
 	}
 	return policy, stats, nil
 }
 
+// trainOn trains a WSD-L policy with DDPG on prof.TrainStreams streams of sc
+// over edges, stream i seeded by seed+i*stride; cfg supplies the pattern,
+// budget and learner settings, prof the iteration budget and learner seed.
+func trainOn(edges []graph.Edge, sc Scenario, seed, stride int64, cfg rl.TrainConfig, prof Profile) (*rl.Policy, rl.TrainStats, error) {
+	cfg.Streams = make([]stream.Stream, prof.TrainStreams)
+	for i := range cfg.Streams {
+		cfg.Streams[i] = sc.Build(edges, rand.New(rand.NewSource(seed+int64(i)*stride)))
+	}
+	cfg.Iterations, cfg.Seed = prof.TrainIterations, prof.Seed
+	return rl.Train(cfg)
+}
+
 // PolicyForTest resolves the WSD-L policy for a test dataset (same-category
 // training graph, Table I pairing).
 func PolicyForTest(test Dataset, pat pattern.Kind, sc Scenario, prof Profile) (*rl.Policy, error) {
-	train, err := DatasetByName(test.Train)
-	if err != nil {
-		return nil, err
+	return learned(test, pat, sc, prof)(core.AggMax)
+}
+
+// learned resolves, by temporal aggregation, the WSD-L policy for a test
+// dataset: the one trained on its category's training graph for pat under
+// sc.
+func learned(test Dataset, pat pattern.Kind, sc Scenario, prof Profile) func(core.TemporalAgg) (*rl.Policy, error) {
+	return func(agg core.TemporalAgg) (*rl.Policy, error) {
+		train, err := DatasetByName(test.Train)
+		if err != nil {
+			return nil, err
+		}
+		p, _, err := TrainPolicy(train, pat, sc, agg, prof)
+		return p, err
 	}
-	p, _, err := TrainPolicy(train, pat, sc, core.AggMax, prof)
-	return p, err
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/pattern"
 	"repro/internal/policy"
 )
@@ -11,16 +12,13 @@ import (
 // the candidate learned policy scored beside the live heuristic on the same
 // seeded replay, against the exact oracle.
 type PolicyLifecycleResult struct {
-	Table *Table
+	*Table
 	// Heuristic and Learned map scenario name -> ARE for the two weight
 	// functions; ID is the candidate artifact's content identity.
 	Heuristic map[string]float64
 	Learned   map[string]float64
 	ID        string
 }
-
-// GetTable returns the rendered table.
-func (r *PolicyLifecycleResult) GetTable() *Table { return r.Table }
 
 // PolicyLifecycle is the offline half of the policy promotion runbook: the
 // online /policy/shadow endpoint compares a candidate against the live
@@ -31,14 +29,24 @@ func (r *PolicyLifecycleResult) GetTable() *Table { return r.Table }
 // before PUT /policy.
 func PolicyLifecycle(prof Profile) (*PolicyLifecycleResult, error) {
 	test := mustDataset("cit-PT")
+	scenarios := []Scenario{MassiveDefault(), LightDefault()}
+	var rows []row
+	for _, sc := range scenarios {
+		rows = append(rows, row{label: fmt.Sprintf("%v", sc.Kind), stream: StreamFor(test, sc, prof.Seed),
+			pattern: pattern.Triangle, m: test.DefaultM, policy: learned(test, pattern.Triangle, sc, prof)})
+	}
+	runs, err := grid(prof, rows, algoCells(AlgoWSDH, AlgoWSDL))
+	if err != nil {
+		return nil, err
+	}
 	res := &PolicyLifecycleResult{
 		Table: &Table{ID: "Policy", Title: "candidate policy vs live heuristic on cit-PT (ARE vs exact, triangles)",
 			Header: []string{"scenario", "weight", "ARE", "MARE"}},
 		Heuristic: make(map[string]float64),
 		Learned:   make(map[string]float64),
 	}
-	for _, sc := range []Scenario{MassiveDefault(), LightDefault()} {
-		pol, err := PolicyForTest(test, pattern.Triangle, sc, prof)
+	for i, r := range rows {
+		pol, err := r.policy(core.AggMax)
 		if err != nil {
 			return nil, err
 		}
@@ -46,34 +54,10 @@ func PolicyLifecycle(prof Profile) (*PolicyLifecycleResult, error) {
 		// operator would PUT to /policy (provenance is display-only metadata;
 		// the ID hashes the parameters).
 		res.ID = policy.ParamsID(pol.W, pol.B)
-		st := StreamFor(test, sc, prof.Seed)
-		name := fmt.Sprintf("%v", sc.Kind)
-		for _, cell := range []struct {
-			label string
-			algo  Algo
-		}{
-			{"wsd-h (live)", AlgoWSDH},
-			{"wsd-l " + res.ID, AlgoWSDL},
-		} {
-			cfg := RunConfig{
-				Stream: st, Pattern: pattern.Triangle, Algo: cell.algo,
-				M: test.DefaultM, Trials: prof.Trials, Seed: prof.Seed,
-				Checkpoints: prof.Checkpoints,
-			}
-			if cell.algo == AlgoWSDL {
-				cfg.Policy = pol
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if cell.algo == AlgoWSDL {
-				res.Learned[name] = r.ARE.Mean
-			} else {
-				res.Heuristic[name] = r.ARE.Mean
-			}
-			res.Table.AddRow(name, cell.label, pct(r.ARE.Mean), pct(r.MARE.Mean))
-		}
+		h, l := runs[i][0], runs[i][1]
+		res.Heuristic[r.label], res.Learned[r.label] = h.ARE.Mean, l.ARE.Mean
+		res.AddRow(r.label, "wsd-h (live)", pct(h.ARE.Mean), pct(h.MARE.Mean))
+		res.AddRow(r.label, "wsd-l "+res.ID, pct(l.ARE.Mean), pct(l.MARE.Mean))
 	}
 	return res, nil
 }

@@ -185,16 +185,86 @@ func NewCounter(cfg RunConfig, rng *rand.Rand) (Counter, error) {
 // Run executes one experiment cell: Trials independent sampling passes over
 // the same stream, compared against the exact timeline.
 func Run(cfg RunConfig) (RunResult, error) {
-	if len(cfg.Stream) == 0 {
-		return RunResult{}, fmt.Errorf("experiment: empty stream")
-	}
+	cfg = cfg.withDefaults()
+	return cfg.against(computeTruth(cfg.Stream, cfg.Pattern, cfg.Checkpoints))
+}
+
+// withDefaults fills the trial protocol's zero values.
+func (cfg RunConfig) withDefaults() RunConfig {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 1
 	}
 	if cfg.Checkpoints <= 0 {
 		cfg.Checkpoints = 50
 	}
-	tl := computeTruth(cfg.Stream, cfg.Pattern, cfg.Checkpoints)
+	return cfg
+}
+
+// row is one grid row: a labelled stream, the pattern counted on it, the
+// storage budget, and the WSD-L policy its cells are scored with (resolved
+// by their temporal aggregation; nil when every WSD-L cell names its own).
+// A row with a section opens that table section.
+type row struct {
+	label, section string
+	stream         stream.Stream
+	pattern        pattern.Kind
+	m              int
+	policy         func(core.TemporalAgg) (*rl.Policy, error)
+}
+
+// cell is one grid column: an algorithm and its knobs.
+type cell struct {
+	algo     Algo
+	policy   *rl.Policy // WSD-L: overrides the row's policy
+	weight   weights.Func
+	agg      core.TemporalAgg
+	wrsAlpha float64
+}
+
+// algoCells returns one plain cell per algorithm.
+func algoCells(algos ...Algo) []cell {
+	out := make([]cell, len(algos))
+	for i, a := range algos {
+		out[i] = cell{algo: a}
+	}
+	return out
+}
+
+// grid runs every cell against every row under prof's trial protocol. Each
+// row's exact timeline is computed once, from that row's own stream, and
+// shared by its cells. out[i][j] is cell j on row i.
+func grid(prof Profile, rows []row, cells []cell) ([][]RunResult, error) {
+	out := make([][]RunResult, len(rows))
+	for i, r := range rows {
+		cfg := RunConfig{Stream: r.stream, Pattern: r.pattern, M: r.m,
+			Trials: prof.Trials, Seed: prof.Seed, Checkpoints: prof.Checkpoints}.withDefaults()
+		tl := computeTruth(r.stream, r.pattern, cfg.Checkpoints)
+		out[i] = make([]RunResult, len(cells))
+		for j, c := range cells {
+			cfg.Algo, cfg.Policy, cfg.WeightOverride, cfg.TemporalAgg, cfg.WRSAlpha = c.algo, c.policy, c.weight, c.agg, c.wrsAlpha
+			if cfg.Policy == nil && r.policy != nil {
+				p, err := r.policy(c.agg)
+				if err != nil {
+					return nil, err
+				}
+				cfg.Policy = p
+			}
+			res, err := cfg.against(tl)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%v: %w", r.label, c.algo, err)
+			}
+			out[i][j] = res
+		}
+	}
+	return out, nil
+}
+
+// against runs cfg's trials, scoring each against the exact timeline tl of
+// cfg.Stream.
+func (cfg RunConfig) against(tl truthTimeline) (RunResult, error) {
+	if len(cfg.Stream) == 0 {
+		return RunResult{}, fmt.Errorf("experiment: empty stream")
+	}
 
 	ares := make([]float64, cfg.Trials)
 	mares := make([]float64, cfg.Trials)

@@ -175,16 +175,13 @@ func TestSuiteGeneratorsSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.Massive.Xs) != 5 || len(r.Light.Xs) != 5 {
-				t.Fatalf("beta sweep points: %d massive, %d light", len(r.Massive.Xs), len(r.Light.Xs))
+			if len(r.Xs) != 10 || r.Xs[5] != "light 0.0" {
+				t.Fatalf("beta sweep points: %v, want 5 massive then 5 light", r.Xs)
 			}
-			// The registry renders both sweeps as one table, light rows under
-			// their own label, without touching the massive sweep's table.
-			for range 2 {
-				rows := r.GetTable().Rows
-				if len(rows) != 11 || rows[5][0] != "-- light --" || len(r.Massive.Table.Rows) != 5 {
-					t.Fatalf("merged Fig. 5 table has %d rows, massive table %d:\n%s", len(rows), len(r.Massive.Table.Rows), r.GetTable())
-				}
+			// Both halves render as one table, light rows under their own
+			// label.
+			if rows := r.Rows; len(rows) != 11 || rows[5][0] != "-- light --" {
+				t.Fatalf("Fig. 5 table has %d rows:\n%s", len(rows), r.GetTable())
 			}
 			return r.GetTable()
 		},

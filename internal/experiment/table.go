@@ -16,6 +16,10 @@ type Table struct {
 	Notes  []string
 }
 
+// GetTable returns t itself: every result embeds its *Table, so the Registry
+// renders any result through this one method.
+func (t *Table) GetTable() *Table { return t }
+
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 

@@ -11,71 +11,58 @@ import (
 // AccuracyResult is the typed grid behind an accuracy table (Tables II, III,
 // VII, VIII, IX, X): per dataset and algorithm, the aggregated run result.
 type AccuracyResult struct {
-	Table    *Table
+	*Table
 	Pattern  pattern.Kind
 	Scenario Scenario
 	Cells    map[string]map[Algo]RunResult
 }
 
-// AccuracyTable runs the paper's main comparison grid: the six fully dynamic
+// accuracyTable runs the paper's main comparison grid: the six fully dynamic
 // algorithms across datasets for one pattern and scenario, reporting ARE,
 // MARE and running time sections like the paper's tables.
-func AccuracyTable(id, title string, pat pattern.Kind, sc Scenario, datasets []Dataset, prof Profile) (*AccuracyResult, error) {
+func accuracyTable(id, title string, pat pattern.Kind, sc Scenario, datasets []Dataset, prof Profile) (*AccuracyResult, error) {
 	algos := FullyDynamicAlgos()
+	rows := make([]row, len(datasets))
+	for i, ds := range datasets {
+		rows[i] = row{label: ds.Name, stream: StreamFor(ds, sc, prof.Seed), pattern: pat, m: ds.DefaultM,
+			policy: learned(ds, pat, sc, prof)}
+	}
+	runs, err := grid(prof, rows, algoCells(algos...))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", id, err)
+	}
 	res := &AccuracyResult{
-		Table:    &Table{ID: id, Title: title},
+		Table:    &Table{ID: id, Title: title, Header: append([]string{"Graph"}, algoNames(algos)...)},
 		Pattern:  pat,
 		Scenario: sc,
 		Cells:    make(map[string]map[Algo]RunResult, len(datasets)),
 	}
-	res.Table.Header = append([]string{"Graph"}, algoNames(algos)...)
-	for _, ds := range datasets {
+	for i, ds := range datasets {
 		cells := make(map[Algo]RunResult, len(algos))
-		st := StreamFor(ds, sc, prof.Seed)
-		for _, algo := range algos {
-			cfg := RunConfig{
-				Stream:      st,
-				Pattern:     pat,
-				Algo:        algo,
-				M:           ds.DefaultM,
-				Trials:      prof.Trials,
-				Seed:        prof.Seed,
-				Checkpoints: prof.Checkpoints,
-			}
-			if algo == AlgoWSDL {
-				p, err := PolicyForTest(ds, pat, sc, prof)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Policy = p
-			}
-			r, err := Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s/%v: %w", id, ds.Name, algo, err)
-			}
-			cells[algo] = r
+		for j, algo := range algos {
+			cells[algo] = runs[i][j]
 		}
 		res.Cells[ds.Name] = cells
 	}
-
-	for _, section := range []struct {
-		label string
-		cell  func(RunResult) string
-	}{
-		{"Absolute Relative Error", func(r RunResult) string { return pct(r.ARE.Mean) }},
-		{"Mean Absolute Relative Error", func(r RunResult) string { return pct(r.MARE.Mean) }},
-		{"Running Time", func(r RunResult) string { return secs(r.Seconds.Mean) }},
-	} {
-		res.Table.AddSection(section.label)
-		for _, ds := range datasets {
-			row := []string{ds.Name}
-			for _, algo := range algos {
-				row = append(row, section.cell(res.Cells[ds.Name][algo]))
-			}
-			res.Table.AddRow(row...)
+	for k, label := range []string{"Absolute Relative Error", "Mean Absolute Relative Error", "Running Time"} {
+		res.AddSection(label)
+		for i, ds := range datasets {
+			res.AddRow(append([]string{ds.Name}, metricCells(runs[i])[k]...)...)
 		}
 	}
 	return res, nil
+}
+
+// metricCells renders a row of run results as its ARE, MARE and mean
+// running-time cells, in that order.
+func metricCells(rs []RunResult) [3][]string {
+	var out [3][]string
+	for _, r := range rs {
+		out[0] = append(out[0], pct(r.ARE.Mean))
+		out[1] = append(out[1], pct(r.MARE.Mean))
+		out[2] = append(out[2], secs(r.Seconds.Mean))
+	}
+	return out
 }
 
 func algoNames(algos []Algo) []string {
@@ -88,17 +75,17 @@ func algoNames(algos []Algo) []string {
 
 // Table2 reproduces Table II: wedges under massive deletion.
 func Table2(prof Profile) (*AccuracyResult, error) {
-	return AccuracyTable("Table II", "counting wedges, massive deletion", pattern.Wedge, MassiveDefault(), TestDatasets(), prof)
+	return accuracyTable("Table II", "counting wedges, massive deletion", pattern.Wedge, MassiveDefault(), TestDatasets(), prof)
 }
 
 // Table3 reproduces Table III: triangles under massive deletion.
 func Table3(prof Profile) (*AccuracyResult, error) {
-	return AccuracyTable("Table III", "counting triangles, massive deletion", pattern.Triangle, MassiveDefault(), TestDatasets(), prof)
+	return accuracyTable("Table III", "counting triangles, massive deletion", pattern.Triangle, MassiveDefault(), TestDatasets(), prof)
 }
 
 // Table7 reproduces Table VII: 4-cliques under massive deletion.
 func Table7(prof Profile) (*AccuracyResult, error) {
-	return AccuracyTable("Table VII", "counting 4-cliques, massive deletion", pattern.FourClique, MassiveDefault(), fourCliqueDatasets(), prof)
+	return accuracyTable("Table VII", "counting 4-cliques, massive deletion", pattern.FourClique, MassiveDefault(), fourCliqueDatasets(), prof)
 }
 
 // fourCliqueDatasets returns the 4-clique evaluation datasets with a 3x
@@ -116,29 +103,29 @@ func fourCliqueDatasets() []Dataset {
 
 // Table8 reproduces Table VIII: wedges under light deletion.
 func Table8(prof Profile) (*AccuracyResult, error) {
-	return AccuracyTable("Table VIII", "counting wedges, light deletion", pattern.Wedge, LightDefault(), TestDatasets(), prof)
+	return accuracyTable("Table VIII", "counting wedges, light deletion", pattern.Wedge, LightDefault(), TestDatasets(), prof)
 }
 
 // Table9 reproduces Table IX: triangles under light deletion.
 func Table9(prof Profile) (*AccuracyResult, error) {
-	return AccuracyTable("Table IX", "counting triangles, light deletion", pattern.Triangle, LightDefault(), TestDatasets(), prof)
+	return accuracyTable("Table IX", "counting triangles, light deletion", pattern.Triangle, LightDefault(), TestDatasets(), prof)
 }
 
 // Table10 reproduces Table X: 4-cliques under light deletion.
 func Table10(prof Profile) (*AccuracyResult, error) {
-	return AccuracyTable("Table X", "counting 4-cliques, light deletion", pattern.FourClique, LightDefault(), fourCliqueDatasets(), prof)
+	return accuracyTable("Table X", "counting 4-cliques, light deletion", pattern.FourClique, LightDefault(), fourCliqueDatasets(), prof)
 }
 
 // TrainingTimeResult is the typed grid behind Tables IV and XI.
 type TrainingTimeResult struct {
-	Table *Table
+	*Table
 	Stats map[string]map[pattern.Kind]rl.TrainStats // train dataset -> pattern -> stats
 }
 
-// TrainingTimes reproduces Table IV (massive) / Table XI (light): DDPG
+// trainingTimes reproduces Table IV (massive) / Table XI (light): DDPG
 // training time for triangles and wedges on the four category training
 // graphs.
-func TrainingTimes(id string, sc Scenario, prof Profile) (*TrainingTimeResult, error) {
+func trainingTimes(id string, sc Scenario, prof Profile) (*TrainingTimeResult, error) {
 	res := &TrainingTimeResult{
 		Table: &Table{
 			ID:     id,
@@ -159,93 +146,85 @@ func TrainingTimes(id string, sc Scenario, prof Profile) (*TrainingTimeResult, e
 			row = append(row, secs(stats.Elapsed.Seconds()))
 		}
 		res.Stats[ds.Name] = perPattern
-		res.Table.AddRow(row...)
+		res.AddRow(row...)
 	}
-	res.Table.Notes = append(res.Table.Notes,
+	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d DDPG iterations over %d training streams per policy (paper: 1,000 iterations, hours on GPU)", prof.TrainIterations, prof.TrainStreams))
 	return res, nil
 }
 
 // Table4 reproduces Table IV.
 func Table4(prof Profile) (*TrainingTimeResult, error) {
-	return TrainingTimes("Table IV", MassiveDefault(), prof)
+	return trainingTimes("Table IV", MassiveDefault(), prof)
 }
 
 // Table11 reproduces Table XI.
 func Table11(prof Profile) (*TrainingTimeResult, error) {
-	return TrainingTimes("Table XI", LightDefault(), prof)
+	return trainingTimes("Table XI", LightDefault(), prof)
 }
 
 // TransferResult is the typed grid behind Tables V and XII: ARE of counting
 // triangles on each test graph using policies trained on every category.
 type TransferResult struct {
-	Table *Table
-	ARE   map[string]map[string]float64 // test dataset -> training dataset -> ARE
+	*Table
+	ARE map[string]map[string]float64 // test dataset -> training dataset -> ARE
 }
 
-// Transfer reproduces Table V (massive) / Table XII (light).
-func Transfer(id string, sc Scenario, prof Profile) (*TransferResult, error) {
+// transfer reproduces Table V (massive) / Table XII (light).
+func transfer(id string, sc Scenario, prof Profile) (*TransferResult, error) {
 	trainSets := append(TrainDatasets(), mustDataset("syn-train"))
 	testSets := datasetsByName("cit-PT", "com-YT", "soc-TW", "web-GL")
 	res := &TransferResult{
-		Table: &Table{ID: id, Title: fmt.Sprintf("transferability of WSD-L, %v deletion (ARE, triangles)", sc.Kind)},
-		ARE:   make(map[string]map[string]float64),
+		Table: &Table{ID: id, Title: fmt.Sprintf("transferability of WSD-L, %v deletion (ARE, triangles)", sc.Kind),
+			Header: []string{"Test \\ Train"}},
+		ARE: make(map[string]map[string]float64),
 	}
-	res.Table.Header = []string{"Test \\ Train"}
+	// One WSD-L cell per training set, then WSD-H.
+	var cells []cell
 	for _, tr := range trainSets {
-		res.Table.Header = append(res.Table.Header, tr.Name)
-	}
-	res.Table.Header = append(res.Table.Header, "WSD-H")
-
-	for _, test := range testSets {
-		st := StreamFor(test, sc, prof.Seed)
-		row := []string{test.Name}
-		perTrain := make(map[string]float64)
-		for _, tr := range trainSets {
-			policy, _, err := TrainPolicy(tr, pattern.Triangle, sc, core.AggMax, prof)
-			if err != nil {
-				return nil, err
-			}
-			r, err := Run(RunConfig{
-				Stream: st, Pattern: pattern.Triangle, Algo: AlgoWSDL,
-				M: test.DefaultM, Trials: prof.Trials, Seed: prof.Seed,
-				Checkpoints: prof.Checkpoints, Policy: policy,
-			})
-			if err != nil {
-				return nil, err
-			}
-			perTrain[tr.Name] = r.ARE.Mean
-			row = append(row, pct(r.ARE.Mean))
-		}
-		rh, err := Run(RunConfig{
-			Stream: st, Pattern: pattern.Triangle, Algo: AlgoWSDH,
-			M: test.DefaultM, Trials: prof.Trials, Seed: prof.Seed,
-			Checkpoints: prof.Checkpoints,
-		})
+		policy, _, err := TrainPolicy(tr, pattern.Triangle, sc, core.AggMax, prof)
 		if err != nil {
 			return nil, err
 		}
-		perTrain["WSD-H"] = rh.ARE.Mean
-		row = append(row, pct(rh.ARE.Mean))
+		cells = append(cells, cell{algo: AlgoWSDL, policy: policy})
+		res.Header = append(res.Header, tr.Name)
+	}
+	cells = append(cells, cell{algo: AlgoWSDH})
+	res.Header = append(res.Header, "WSD-H")
+	rows := make([]row, len(testSets))
+	for i, test := range testSets {
+		rows[i] = row{label: test.Name, stream: StreamFor(test, sc, prof.Seed), pattern: pattern.Triangle, m: test.DefaultM}
+	}
+	runs, err := grid(prof, rows, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, test := range testSets {
+		perTrain := make(map[string]float64, len(cells))
+		line := []string{test.Name}
+		for j, r := range runs[i] {
+			perTrain[res.Header[j+1]] = r.ARE.Mean
+			line = append(line, pct(r.ARE.Mean))
+		}
 		res.ARE[test.Name] = perTrain
-		res.Table.AddRow(row...)
+		res.AddRow(line...)
 	}
 	return res, nil
 }
 
 // Table5 reproduces Table V.
 func Table5(prof Profile) (*TransferResult, error) {
-	return Transfer("Table V", MassiveDefault(), prof)
+	return transfer("Table V", MassiveDefault(), prof)
 }
 
 // Table12 reproduces Table XII.
 func Table12(prof Profile) (*TransferResult, error) {
-	return Transfer("Table XII", LightDefault(), prof)
+	return transfer("Table XII", LightDefault(), prof)
 }
 
 // InsertOnlyResult is the typed grid behind Table VI.
 type InsertOnlyResult struct {
-	Table *Table
+	*Table
 	Cells map[Algo]RunResult
 }
 
@@ -255,102 +234,68 @@ type InsertOnlyResult struct {
 func Table6(prof Profile) (*InsertOnlyResult, error) {
 	ds := mustDataset("cit-PT")
 	sc := InsertOnlyScenario()
-	st := StreamFor(ds, sc, prof.Seed)
 	algos := []Algo{AlgoWSDL, AlgoGPS, AlgoTriest, AlgoThinkD, AlgoWRS}
+	runs, err := grid(prof, []row{{label: ds.Name, stream: StreamFor(ds, sc, prof.Seed), pattern: pattern.Triangle,
+		m: ds.DefaultM, policy: learned(ds, pattern.Triangle, sc, prof)}}, algoCells(algos...))
+	if err != nil {
+		return nil, err
+	}
 	res := &InsertOnlyResult{
 		Table: &Table{ID: "Table VI", Title: "counting triangles on cit-PT, insertion-only",
 			Header: append([]string{"Metric"}, algoNames(algos)...)},
 		Cells: make(map[Algo]RunResult, len(algos)),
 	}
-	for _, algo := range algos {
-		cfg := RunConfig{
-			Stream: st, Pattern: pattern.Triangle, Algo: algo,
-			M: ds.DefaultM, Trials: prof.Trials, Seed: prof.Seed, Checkpoints: prof.Checkpoints,
-		}
-		if algo == AlgoWSDL {
-			p, err := PolicyForTest(ds, pattern.Triangle, sc, prof)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Policy = p
-		}
-		r, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Cells[algo] = r
+	for j, algo := range algos {
+		res.Cells[algo] = runs[0][j]
 	}
-	for _, section := range []struct {
-		label string
-		cell  func(RunResult) string
-	}{
-		{"ARE", func(r RunResult) string { return pct(r.ARE.Mean) }},
-		{"MARE", func(r RunResult) string { return pct(r.MARE.Mean) }},
-		{"Time", func(r RunResult) string { return secs(r.Seconds.Mean) }},
-	} {
-		row := []string{section.label}
-		for _, algo := range algos {
-			row = append(row, section.cell(res.Cells[algo]))
-		}
-		res.Table.AddRow(row...)
+	for k, label := range []string{"ARE", "MARE", "Time"} {
+		res.AddRow(append([]string{label}, metricCells(runs[0])[k]...)...)
 	}
 	return res, nil
 }
 
 // AblationResult is the typed grid behind Table XIII.
 type AblationResult struct {
-	Table *Table
-	ARE   map[ScenarioKind]map[string]map[string]float64 // scenario -> dataset -> variant -> ARE
+	*Table
+	ARE map[ScenarioKind]map[string]map[string]float64 // scenario -> dataset -> variant -> ARE
 }
 
 // Table13 reproduces Table XIII: the WSD-L(Max) vs WSD-L(Avg) vs WSD-H state
 // ablation on triangles for both deletion scenarios.
 func Table13(prof Profile) (*AblationResult, error) {
+	variants := []string{"WSD-L (Max)", "WSD-L (Avg)", "WSD-H"}
+	cells := []cell{{algo: AlgoWSDL, agg: core.AggMax}, {algo: AlgoWSDL, agg: core.AggAvg}, {algo: AlgoWSDH, agg: core.AggMax}}
+	scenarios := []Scenario{MassiveDefault(), LightDefault()}
+	testSets := datasetsByName("cit-PT", "com-YT", "soc-TW", "web-GL")
+	var rows []row
+	for _, sc := range scenarios {
+		for _, ds := range testSets {
+			rows = append(rows, row{label: fmt.Sprintf("%v/%s", sc.Kind, ds.Name), stream: StreamFor(ds, sc, prof.Seed),
+				pattern: pattern.Triangle, m: ds.DefaultM, policy: learned(ds, pattern.Triangle, sc, prof)})
+		}
+	}
+	runs, err := grid(prof, rows, cells)
+	if err != nil {
+		return nil, err
+	}
 	res := &AblationResult{
 		Table: &Table{ID: "Table XIII", Title: "ablation of the temporal state aggregation (ARE, triangles)",
-			Header: []string{"Scenario/Graph", "WSD-L (Max)", "WSD-L (Avg)", "WSD-H"}},
+			Header: append([]string{"Scenario/Graph"}, variants...)},
 		ARE: make(map[ScenarioKind]map[string]map[string]float64),
 	}
-	testSets := datasetsByName("cit-PT", "com-YT", "soc-TW", "web-GL")
-	for _, sc := range []Scenario{MassiveDefault(), LightDefault()} {
-		perDS := make(map[string]map[string]float64)
-		for _, ds := range testSets {
-			st := StreamFor(ds, sc, prof.Seed)
-			train := mustDataset(ds.Train)
-			variants := make(map[string]float64, 3)
-			row := []string{fmt.Sprintf("%v/%s", sc.Kind, ds.Name)}
-			for _, v := range []struct {
-				label string
-				agg   core.TemporalAgg
-				algo  Algo
-			}{
-				{"WSD-L (Max)", core.AggMax, AlgoWSDL},
-				{"WSD-L (Avg)", core.AggAvg, AlgoWSDL},
-				{"WSD-H", core.AggMax, AlgoWSDH},
-			} {
-				cfg := RunConfig{
-					Stream: st, Pattern: pattern.Triangle, Algo: v.algo,
-					M: ds.DefaultM, Trials: prof.Trials, Seed: prof.Seed,
-					Checkpoints: prof.Checkpoints, TemporalAgg: v.agg,
-				}
-				if v.algo == AlgoWSDL {
-					policy, _, err := TrainPolicy(train, pattern.Triangle, sc, v.agg, prof)
-					if err != nil {
-						return nil, err
-					}
-					cfg.Policy = policy
-				}
-				r, err := Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				variants[v.label] = r.ARE.Mean
-				row = append(row, pct(r.ARE.Mean))
-			}
-			perDS[ds.Name] = variants
-			res.Table.AddRow(row...)
+	for i, r := range rows {
+		sc, ds := scenarios[i/len(testSets)], testSets[i%len(testSets)]
+		if res.ARE[sc.Kind] == nil {
+			res.ARE[sc.Kind] = make(map[string]map[string]float64)
 		}
-		res.ARE[sc.Kind] = perDS
+		perVariant := make(map[string]float64, len(variants))
+		line := []string{r.label}
+		for j, v := range variants {
+			perVariant[v] = runs[i][j].ARE.Mean
+			line = append(line, pct(runs[i][j].ARE.Mean))
+		}
+		res.ARE[sc.Kind][ds.Name] = perVariant
+		res.AddRow(line...)
 	}
 	return res, nil
 }
